@@ -9,7 +9,16 @@ Two independent routes compute the probability of a 2D cell:
 
 * panel quadrature: the inner integral over b is the exact Gaussian slab
   probability of the conditional law b|a ~ N((w/v) a, 1/(2v)); the outer
-  integral over a uses fixed-order Gauss-Legendre panels.
+  integral over a uses fixed-order Gauss-Legendre panels.  The integration
+  is confined to where the Gaussian carries mass, with K = max(9, k) and k
+  the grid's coverage multiple (erfc(k/sqrt(2)) = tail_epsilon/2).  Each
+  window's a-interval is clipped to +-K sigma_a, with panels no wider than
+  the full window's; a window wholly outside is a zero row.  In each row
+  only the b-edges within K sigma_c of the span of conditional means over
+  the window's nodes are evaluated, and the slabs beyond stay exactly 0.
+  Each row thus drops at most 2 Phi(-K) <= 2 Phi(-9) ~ 2e-19 of its mass,
+  never more than the grid's own tail_epsilon.  Phi is evaluated once per
+  edge, as the tail Phi(-|z|), and slabs are differences of tails.
 * rectangle CDF: the cell is mapped to a standard bivariate normal
   rectangle with correlation w/v and evaluated with Gauss-Legendre applied
   to the correlation-integral representation of the bivariate normal CDF.
@@ -39,6 +48,9 @@ _PANEL_ORDER = 16
 # min(Delta, sigma_a)/4 under-resolves cells at large r and phi_sum near 0.
 _SLAB_RESOLUTION = 8.0
 _DEFAULT_MAX_PANELS = 100_000
+# Smallest cut-off K of the panel kernel, in standard deviations: each row
+# drops at most 2 Phi(-9) ~ 2e-19 of its mass.
+_MIN_CUT = 9.0
 
 
 class GridTooLarge(Exception):
@@ -108,6 +120,11 @@ class BinnedDistribution2D:
                 fh.write(f"{i - lmax},{j - lmax},{self.probs[i, j]:.17g}\n")
 
 
+def _coverage_multiple(tail_epsilon: float) -> float:
+    """k with erfc(k / sqrt(2)) = tail_epsilon / 2."""
+    return math.sqrt(2.0) * float(special.erfcinv(0.5 * tail_epsilon))
+
+
 def make_grid(state: TmsvParams, delta: float,
               tail_epsilon: float = DEFAULT_TAIL_EPSILON,
               cell_budget: int = DEFAULT_CELL_BUDGET) -> CoarseGrid:
@@ -122,7 +139,7 @@ def make_grid(state: TmsvParams, delta: float,
         raise ValueError(f"bin width must be positive and finite, got {delta}")
     if not (0.0 < tail_epsilon <= 1e-6):
         raise ValueError(f"tail_epsilon must be in (0, 1e-6], got {tail_epsilon}")
-    k = math.sqrt(2.0) * float(special.erfcinv(0.5 * tail_epsilon))
+    k = _coverage_multiple(tail_epsilon)
     sigma_max = state.marginal_sigma
     l_max = max(0, math.ceil(k * sigma_max / delta - 0.5))
     n = 2 * l_max + 1
@@ -155,15 +172,13 @@ def bin_prob_1d(state: TmsvParams, grid: CoarseGrid, m) -> np.ndarray | float:
 
 def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D:
     probs = bin_prob_1d(state, grid, np.arange(-grid.l_max, grid.l_max + 1))
-    order = np.argsort(np.abs(np.arange(-grid.l_max, grid.l_max + 1)), kind="stable")
     return BinnedDistribution1D(
-        probs=probs, captured_mass=float(np.sum(probs[order])), grid=grid, r=state.r,
+        probs=probs, captured_mass=math.fsum(probs.tolist()), grid=grid, r=state.r,
     )
 
 
-def _panel_offsets(delta: float, coeffs: JointGaussianCoefficients,
-                   max_panels: int = _DEFAULT_MAX_PANELS) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights tiling one window centred at 0."""
+def _panel_count(delta: float, coeffs: JointGaussianCoefficients, max_panels: int) -> int:
+    """Gauss-Legendre panels per window, checked against the cap on the full window."""
     sigma_a = coeffs.sigma_marginal
     scale = min(delta, sigma_a)
     rho = abs(coeffs.correlation)
@@ -175,36 +190,71 @@ def _panel_offsets(delta: float, coeffs: JointGaussianCoefficients,
             f"window needs {n_panels} panels, cap is {max_panels} "
             f"(delta={delta}, r={coeffs.r}, phi_sum={coeffs.phi_sum})"
         )
-    x, wts = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    pw = delta / n_panels
-    starts = -0.5 * delta + pw * np.arange(n_panels)
+    return n_panels
+
+
+def _interval_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights of n_panels equal panels tiling [lo, hi]."""
+    x, wts = _GL16
+    pw = (hi - lo) / n_panels
+    starts = lo + pw * np.arange(n_panels)
     nodes = (starts[:, None] + 0.5 * pw * (x[None, :] + 1.0)).ravel()
     weights = np.tile(0.5 * pw * wts, n_panels)
     return nodes, weights
 
 
 def _panel_row(state: TmsvParams, coeffs: JointGaussianCoefficients, edges: np.ndarray,
-               a_nodes: np.ndarray, a_weights: np.ndarray) -> np.ndarray:
-    """Cell probabilities of one a-window against every b-window."""
+               cut: float, a_nodes: np.ndarray, a_weights: np.ndarray, out: np.ndarray) -> None:
+    """Write the cell probabilities of one a-window against every b-window into out.
+
+    `edges` are the b-window boundaries in units of sigma_c.  Only the edges
+    within `cut` of the conditional means of the nodes are evaluated; the
+    slabs beyond them keep the zeros already in out.
+    """
     f = a_weights * marginal_pdf(state, a_nodes)
-    mu = coeffs.correlation * a_nodes
-    z = (edges[None, :] - mu[:, None]) / coeffs.sigma_conditional
-    slabs = _phi_diff(z[:, :-1], z[:, 1:])
-    return f @ slabs
+    mu = coeffs.correlation * a_nodes / coeffs.sigma_conditional
+    lo = max(int(np.searchsorted(edges, mu.min() - cut, side="right")) - 1, 0)
+    band = edges[lo:np.searchsorted(edges, mu.max() + cut) + 1]
+    if band.size < 2:
+        return
+    z = band[None, :] - mu[:, None]
+    # One Phi per edge: h = sign(z) Phi(-|z|), so Phi(z) = [z >= 0] - h with
+    # both tails kept to full relative precision.
+    h = np.abs(z)
+    np.negative(h, out=h)
+    special.ndtr(h, out=h)
+    np.copysign(h, z, out=h)
+    slabs = h[:, :-1] - h[:, 1:]
+    # The slab holding mu also gains the unit step of [z >= 0]; k is the
+    # first edge with z >= 0, found by the same comparison that signs z.
+    k = np.searchsorted(band, mu)
+    inner = (k > 0) & (k < band.size)
+    slabs[inner, k[inner] - 1] += 1.0
+    np.maximum(slabs, 0.0, out=slabs)
+    out[lo:lo + slabs.shape[1]] = f @ slabs
 
 
-def _ordered_mass(probs: np.ndarray, l_max: int) -> float:
-    """Total mass summed in a fixed order: increasing |l|, then |m|, then signs."""
-    idx = np.arange(-l_max, l_max + 1)
-    labs = np.abs(idx)
-    keys = (
-        np.broadcast_to(idx[None, :], probs.shape).ravel(),
-        np.broadcast_to(idx[:, None], probs.shape).ravel(),
-        np.broadcast_to(labs[None, :], probs.shape).ravel(),
-        np.broadcast_to(labs[:, None], probs.shape).ravel(),
-    )
-    order = np.lexsort(keys)
-    return float(np.sum(probs.ravel()[order]))
+def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: CoarseGrid,
+                windows, max_panels: int) -> np.ndarray:
+    """Panel-quadrature cell probabilities of the a-windows `windows` (one row each).
+
+    Each window's a-interval is clipped to +-K sigma_a, K = max(9, k) with k
+    the grid's coverage multiple, keeping the panel width of the full
+    window; a window wholly outside gets a zero row.
+    """
+    delta = grid.delta
+    n_panels = _panel_count(delta, coeffs, max_panels)
+    cut = max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
+    a_cut = cut * state.marginal_sigma
+    edges = grid.edges() / coeffs.sigma_conditional
+    rows = np.zeros((len(windows), grid.n_bins))
+    for row, l in zip(rows, windows):
+        lo = max(l * delta - 0.5 * delta, -a_cut)
+        hi = min(l * delta + 0.5 * delta, a_cut)
+        if lo < hi:
+            n = min(n_panels, math.ceil((hi - lo) * n_panels / delta))
+            _panel_row(state, coeffs, edges, cut, *_interval_nodes(lo, hi, n), out=row)
+    return rows
 
 
 def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
@@ -215,14 +265,8 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     """Full matrix of 2D window probabilities for the joint homodyne law."""
     grid = make_grid(state, delta, tail_epsilon, cell_budget)
     coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
-    edges = grid.edges()
     if method == PANEL_QUADRATURE:
-        nodes, weights = _panel_offsets(delta, coeffs, max_panels)
-        rows = [
-            _panel_row(state, coeffs, edges, l * delta + nodes, weights)
-            for l in range(-grid.l_max, grid.l_max + 1)
-        ]
-        probs = np.vstack(rows)
+        probs = _panel_rows(state, coeffs, grid, range(-grid.l_max, grid.l_max + 1), max_panels)
     elif method == RECTANGLE_CDF:
         probs = np.empty((grid.n_bins, grid.n_bins))
         for i, l in enumerate(range(-grid.l_max, grid.l_max + 1)):
@@ -231,7 +275,7 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     else:
         raise ValueError(f"unknown method {method!r}")
     return BinnedDistribution2D(
-        probs=probs, captured_mass=_ordered_mass(probs, grid.l_max),
+        probs=probs, captured_mass=math.fsum(probs.ravel().tolist()),
         grid=grid, r=state.r, phi_sum=phi_sum, method=method,
     )
 
@@ -244,11 +288,8 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     delta = grid.delta
     if method == PANEL_QUADRATURE:
-        state = TmsvParams(coeffs.r)
-        nodes, weights = _panel_offsets(delta, coeffs, max_panels)
-        edges = np.array([m * delta - 0.5 * delta, m * delta + 0.5 * delta])
-        row = _panel_row(state, coeffs, edges, l * delta + nodes, weights)
-        return float(row[0])
+        row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [l], max_panels)
+        return float(row[0, m + grid.l_max])
     if method == RECTANGLE_CDF:
         sigma = coeffs.sigma_marginal
         x_lo, x_hi = (l * delta - 0.5 * delta) / sigma, (l * delta + 0.5 * delta) / sigma
@@ -264,6 +305,7 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
 
 _GL6 = np.polynomial.legendre.leggauss(6)
 _GL12 = np.polynomial.legendre.leggauss(12)
+_GL16 = np.polynomial.legendre.leggauss(_PANEL_ORDER)  # the panel rule
 _GL20 = np.polynomial.legendre.leggauss(20)
 
 

@@ -10,6 +10,7 @@ from scipy import special
 from entrobell import (
     PANEL_QUADRATURE,
     RECTANGLE_CDF,
+    CoarseGrid,
     GridTooLarge,
     PhaseSettings,
     QuadratureBudgetExceeded,
@@ -164,6 +165,12 @@ def test_quadrature_budget_error():
     c = coefficients(state, PhaseSettings(0.0, 0.0))
     with pytest.raises(QuadratureBudgetExceeded):
         bin_prob_2d(c, grid, 0, 0, max_panels=2)
+    # the cap applies to the full window (283 panels), though only the part
+    # within 9 sigma of it is integrated
+    with pytest.raises(QuadratureBudgetExceeded):
+        binned_joint(state, 0.0, 50.0, max_panels=282)
+    assert binned_joint(state, 0.0, 50.0, max_panels=283).probs[0, 0] \
+        == pytest.approx(1.0, abs=1e-15)
 
 
 def test_unknown_method_rejected():
@@ -235,13 +242,42 @@ def test_joint_deterministic():
     assert one.captured_mass == two.captured_mass
 
 
-def test_joint_methods_agree_matrixwise():
-    state = TmsvParams(1.0)
-    p = binned_joint(state, 0.5, 2.0, method=PANEL_QUADRATURE)
-    r = binned_joint(state, 0.5, 2.0, method=RECTANGLE_CDF)
-    assert np.max(np.abs(p.probs - r.probs)) < 1e-10
+# (3, 1e-3, 1.5): the b-band of each row is a few of 97 windows; (0.5, 0.2, 50)
+# and (2, 0.1, 50): the single or outer windows reach far beyond K sigma_a.
+@pytest.mark.parametrize("r, phi_sum, delta", [
+    (1.0, 0.5, 2.0), (3.0, 1e-3, 1.5), (0.5, 0.2, 50.0), (2.0, 0.1, 50.0),
+])
+def test_joint_methods_agree_matrixwise(r, phi_sum, delta):
+    state = TmsvParams(r)
+    p = binned_joint(state, phi_sum, delta, method=PANEL_QUADRATURE)
+    q = binned_joint(state, phi_sum, delta, method=RECTANGLE_CDF)
+    assert np.max(np.abs(p.probs - q.probs)) < 1e-10
     assert p.method == PANEL_QUADRATURE
-    assert r.method == RECTANGLE_CDF
+    assert q.method == RECTANGLE_CDF
+    marg = binned_marginal(state, p.grid).probs
+    assert np.max(np.abs(p.marginal_a() - marg)) < 1e-12
+
+
+@pytest.mark.parametrize("r, phi_sum, delta", [(3.0, 1e-3, 1.5), (2.0, 0.1, 50.0)])
+def test_bin_prob_2d_is_the_binned_joint_entry(r, phi_sum, delta):
+    state = TmsvParams(r)
+    joint = binned_joint(state, phi_sum, delta)
+    c = coefficients(state, PhaseSettings(0.0, phi_sum))
+    lm = joint.grid.l_max
+    for l in range(-min(lm, 2), min(lm, 2) + 1):
+        for m in range(-min(lm, 2), min(lm, 2) + 1):
+            assert bin_prob_2d(c, joint.grid, l, m, method=PANEL_QUADRATURE) \
+                == joint.probs[l + lm, m + lm]
+
+
+def test_windows_beyond_the_cut_are_zero():
+    # a hand-built grid reaching 15 sigma: windows past 9 sigma carry no mass
+    state = TmsvParams(0.0)
+    grid = CoarseGrid(delta=1.0, l_max=10, tail_epsilon=1e-12)
+    c = coefficients(state, PhaseSettings(0.0, 0.3))
+    assert bin_prob_2d(c, grid, 7, 0) == 0.0
+    assert bin_prob_2d(c, grid, -7, 0) == 0.0
+    assert bin_prob_2d(c, grid, 6, 0) > 0.0
 
 
 def test_to_csv_round_trip():
