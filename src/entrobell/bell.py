@@ -18,9 +18,9 @@ grids, and minimises it over (r, delta).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from scipy import optimize
 
 from ._version import __version__
 from .coarse_grain import DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, binned_joint, make_grid
-from .entropy import conditional_entropy, s_qm
+from .entropy import EntropyTerms, conditional_entropy, s_qm
 from .gaussian_core import TmsvParams
 
 SCAN_CSV_HEADER = "r,delta,Delta,d_qm"
@@ -69,7 +69,11 @@ class AngleGeometry:
 
 @dataclass(frozen=True)
 class BellEvaluation:
-    """The four conditional-entropy terms and their chained combination."""
+    """The four conditional-entropy terms and their chained combination.
+
+    `terms` holds the entropies of the joints of the pairs (A,B'), (A',B'),
+    (A',B) and (A,B), in that order; every other quantity derives from them.
+    """
 
     r: float
     delta_bin: float
@@ -78,13 +82,46 @@ class BellEvaluation:
     theta_prime: float
     phi: float
     phi_prime: float
-    term_a_given_bprime: float
-    term_bprime_given_aprime: float
-    term_aprime_given_b: float
-    term_a_given_b: float
-    d_qm: float
+    terms: tuple[EntropyTerms, EntropyTerms, EntropyTerms, EntropyTerms]
     grid_l_max: int
     delta: float | None = None
+
+    @property
+    def term_a_given_bprime(self) -> float:
+        return self.terms[0].s_conditional
+
+    @property
+    def term_bprime_given_aprime(self) -> float:
+        return self.terms[1].s_b_given_a
+
+    @property
+    def term_aprime_given_b(self) -> float:
+        return self.terms[2].s_conditional
+
+    @property
+    def term_a_given_b(self) -> float:
+        return self.terms[3].s_conditional
+
+    @property
+    def d_qm(self) -> float:
+        return (self.term_a_given_bprime + self.term_bprime_given_aprime
+                + self.term_aprime_given_b - self.term_a_given_b)
+
+    @property
+    def mutual_info_margin(self) -> float:
+        """Violation margin of the mutual-information form of the inequality.
+
+        Returns LHS - RHS of
+            I(A;B') + I(A';B') + I(A';B) - I(A;B) <= S(A') + S(B'),
+        so positive values signal violation.  Equals -d_qm up to the
+        numerical agreement of the (phase-independent) marginal entropies
+        across settings.
+        """
+        ab_prime, apbp, aprime_b, ab = self.terms
+        lhs = (ab_prime.mutual_information + apbp.mutual_information
+               + aprime_b.mutual_information - ab.mutual_information)
+        rhs = apbp.s_marginal_a + ab_prime.s_marginal_b
+        return lhs - rhs
 
     def to_dict(self) -> dict:
         return {
@@ -118,22 +155,14 @@ def evaluate_general(state: TmsvParams, theta: float, theta_prime: float,
     reduction identity of the one-parameter geometry can be verified against
     this rather than being baked in.
     """
-    ab_prime = binned_joint(state, theta + phi_prime, delta_bin, tail_epsilon)
-    aprime_bprime = binned_joint(state, theta_prime + phi_prime, delta_bin, tail_epsilon)
-    aprime_b = binned_joint(state, theta_prime + phi, delta_bin, tail_epsilon)
-    ab = binned_joint(state, theta + phi, delta_bin, tail_epsilon)
-
-    t1 = conditional_entropy(ab_prime).s_conditional
-    t2 = conditional_entropy(aprime_bprime).s_b_given_a
-    t3 = conditional_entropy(aprime_b).s_conditional
-    t4 = conditional_entropy(ab).s_conditional
+    joints = [binned_joint(state, phase_sum, delta_bin, tail_epsilon)
+              for phase_sum in (theta + phi_prime, theta_prime + phi_prime,
+                                theta_prime + phi, theta + phi)]
     return BellEvaluation(
         r=state.r, delta_bin=delta_bin, tail_epsilon=tail_epsilon,
         theta=theta, theta_prime=theta_prime, phi=phi, phi_prime=phi_prime,
-        term_a_given_bprime=t1, term_bprime_given_aprime=t2,
-        term_aprime_given_b=t3, term_a_given_b=t4,
-        d_qm=t1 + t2 + t3 - t4,
-        grid_l_max=ab.grid.l_max,
+        terms=tuple(conditional_entropy(joint) for joint in joints),
+        grid_l_max=joints[-1].grid.l_max,
     )
 
 
@@ -144,30 +173,13 @@ def evaluate(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
         state, geometry.theta, geometry.theta_prime, geometry.phi,
         geometry.phi_prime, delta_bin, tail_epsilon,
     )
-    return BellEvaluation(**{**ev.__dict__, "delta": geometry.delta})
+    return dataclasses.replace(ev, delta=geometry.delta)
 
 
 def evaluate_mutual_info(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
                          tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> float:
-    """Violation margin of the mutual-information form of the inequality.
-
-    Returns LHS - RHS of
-        I(A;B') + I(A';B') + I(A';B) - I(A;B) <= S(A') + S(B'),
-    so positive values signal violation.  Equals -d_qm up to the numerical
-    agreement of the (phase-independent) marginal entropies across settings.
-    """
-    ab_prime = conditional_entropy(binned_joint(state, geometry.theta + geometry.phi_prime,
-                                                delta_bin, tail_epsilon))
-    apbp = conditional_entropy(binned_joint(state, geometry.theta_prime + geometry.phi_prime,
-                                            delta_bin, tail_epsilon))
-    aprime_b = conditional_entropy(binned_joint(state, geometry.theta_prime + geometry.phi,
-                                                delta_bin, tail_epsilon))
-    ab = conditional_entropy(binned_joint(state, geometry.theta + geometry.phi,
-                                          delta_bin, tail_epsilon))
-    lhs = (ab_prime.mutual_information + apbp.mutual_information
-           + aprime_b.mutual_information - ab.mutual_information)
-    rhs = apbp.s_marginal_a + ab_prime.s_marginal_b
-    return lhs - rhs
+    """`BellEvaluation.mutual_info_margin` of the one-parameter angle family."""
+    return evaluate(state, geometry, delta_bin, tail_epsilon).mutual_info_margin
 
 
 def d_qm_value(state: TmsvParams, delta: float, delta_bin: float,
@@ -175,13 +187,6 @@ def d_qm_value(state: TmsvParams, delta: float, delta_bin: float,
     """d_qm = 3 S_qm(delta/3) - S_qm(delta), the reduced two-entropy form."""
     return 3.0 * s_qm(state, delta / 3.0, delta_bin, tail_epsilon) \
         - s_qm(state, delta, delta_bin, tail_epsilon)
-
-
-def _map_jobs(fn, jobs, workers):
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 @dataclass(frozen=True)
@@ -221,22 +226,12 @@ class ScanResult:
 
 
 def scan(state_values, delta_values, delta_bin: float,
-         tail_epsilon: float = DEFAULT_TAIL_EPSILON, workers: int | None = None) -> ScanResult:
-    """Dense d_qm matrix over squeezing values (rows) and angle offsets (columns).
-
-    Cells are independent evaluations; the assembled matrix is identical for
-    any worker count.
-    """
+         tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> ScanResult:
+    """Dense d_qm matrix over squeezing values (rows) and angle offsets (columns)."""
     r_values = np.asarray(state_values, dtype=float)
     d_values = np.asarray(delta_values, dtype=float)
-    jobs = [(r, d) for r in r_values for d in d_values]
-
-    def one(job):
-        r, d = job
-        return d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon)
-
-    flat = _map_jobs(one, jobs, workers)
-    mat = np.array(flat, dtype=float).reshape(len(r_values), len(d_values))
+    mat = np.array([[d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon) for d in d_values]
+                    for r in r_values], dtype=float).reshape(len(r_values), len(d_values))
     l_lo = make_grid(TmsvParams(float(r_values.min())), delta_bin, tail_epsilon).l_max
     l_hi = make_grid(TmsvParams(float(r_values.max())), delta_bin, tail_epsilon).l_max
     return ScanResult(
@@ -273,8 +268,7 @@ class ZeroOffsetScanResult:
 
 
 def scan_zero_delta(state_values, delta_bin_values,
-                    tail_epsilon: float = DEFAULT_TAIL_EPSILON,
-                    workers: int | None = None) -> ZeroOffsetScanResult:
+                    tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> ZeroOffsetScanResult:
     """Map of the delta = 0 boundary value 2 S_qm(0) over (r, Delta).
 
     At delta = 0 all four setting pairs coincide, so the chained combination
@@ -284,14 +278,8 @@ def scan_zero_delta(state_values, delta_bin_values,
     """
     r_values = np.asarray(state_values, dtype=float)
     db_values = np.asarray(delta_bin_values, dtype=float)
-    jobs = [(r, db) for r in r_values for db in db_values]
-
-    def one(job):
-        r, db = job
-        return 2.0 * s_qm(TmsvParams(r), 0.0, db, tail_epsilon)
-
-    flat = _map_jobs(one, jobs, workers)
-    mat = np.array(flat, dtype=float).reshape(len(r_values), len(db_values))
+    mat = np.array([[2.0 * s_qm(TmsvParams(r), 0.0, db, tail_epsilon) for db in db_values]
+                    for r in r_values], dtype=float).reshape(len(r_values), len(db_values))
     return ZeroOffsetScanResult(
         r_values=r_values, delta_bin_values=db_values, d_qm=mat,
         tail_epsilon=tail_epsilon,
@@ -314,7 +302,6 @@ class MinimizeOptions:
     xatol: float = 1e-4
     fatol: float = 1e-5
     max_refine_iter: int = 400
-    workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -375,11 +362,7 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     d_grid = _coarse_deltas(d_lo, d_hi, options)
     jobs = [(r, d) for r in r_grid for d in d_grid]
 
-    def one(job):
-        r, d = job
-        return d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon)
-
-    flat = np.array(_map_jobs(one, jobs, options.workers))
+    flat = np.array([d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon) for r, d in jobs])
     n_evals = len(jobs)
     coarse_d_min = float(flat.min())
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 
@@ -22,7 +21,6 @@ from .bell import (
     AngleGeometry,
     MinimizeOptions,
     evaluate,
-    evaluate_mutual_info,
     minimize,
     scan,
     scan_zero_delta,
@@ -42,17 +40,6 @@ _NUMERIC_ERRORS = (GridTooLarge, QuadratureBudgetExceeded, TruncationNotConverge
                    InvalidDistribution)
 
 _FIG1_DELTAS = (1.5, 3.5, 6.0)
-
-
-def _workers() -> int | None:
-    raw = os.environ.get("ENTROBELL_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"entrobell: ENTROBELL_THREADS must be an integer, got {raw!r}")
-    return n if n > 1 else None
 
 
 @contextmanager
@@ -225,8 +212,7 @@ def _cmd_eval(args, parser) -> int:
     ev = evaluate(state, geometry, args.delta_bin, args.tail_epsilon)
     payload = ev.to_dict()
     if args.mutual_info:
-        payload["mutual_info_margin"] = evaluate_mutual_info(
-            state, geometry, args.delta_bin, args.tail_epsilon)
+        payload["mutual_info_margin"] = ev.mutual_info_margin
     if args.dump_dist is not None:
         for tag, phs in zip(_PAIR_TAGS, geometry.pair_sums()):
             dist = binned_joint(state, phs, args.delta_bin, args.tail_epsilon)
@@ -268,7 +254,7 @@ def _cmd_scan(args, parser) -> int:
     res = scan(
         np.linspace(r_lo, r_hi, args.r_points),
         np.linspace(d_lo, d_hi, args.delta_points),
-        args.delta_bin, args.tail_epsilon, workers=_workers(),
+        args.delta_bin, args.tail_epsilon,
     )
     if args.format == "json":
         _emit_json(res.to_dict(), args)
@@ -294,7 +280,7 @@ def _cmd_minimize(args, parser) -> int:
         parser.error("minimize bounds must be ordered with r >= 0")
     opts = MinimizeOptions(
         r_points=args.coarse_points, delta_points=args.coarse_points,
-        refine_starts=args.refine_starts, workers=_workers(),
+        refine_starts=args.refine_starts,
     )
     res = minimize((r_lo, r_hi), (d_lo, d_hi), args.delta_bin,
                    args.tail_epsilon, options=opts)
@@ -381,7 +367,7 @@ def _cmd_figure(args, parser) -> int:
         r_points = args.r_points if args.r_points else 41
         r_values = np.linspace(r_lo, r_hi, r_points)
         d_values = np.linspace(0.0, math.pi, args.delta_points)
-        results = [scan(r_values, d_values, db, args.tail_epsilon, workers=_workers())
+        results = [scan(r_values, d_values, db, args.tail_epsilon)
                    for db in delta_bins]
         if args.format == "json":
             _emit_json({
@@ -405,7 +391,7 @@ def _cmd_figure(args, parser) -> int:
     res = scan_zero_delta(
         np.linspace(r_lo, r_hi, r_points),
         np.linspace(db_lo, db_hi, args.delta_bin_points),
-        args.tail_epsilon, workers=_workers(),
+        args.tail_epsilon,
     )
     if args.format == "json":
         _emit_json(res.to_dict(), args)

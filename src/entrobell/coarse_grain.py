@@ -18,7 +18,15 @@ Two independent routes compute the probability of a 2D cell:
   the window's nodes are evaluated, and the slabs beyond stay exactly 0.
   Each row thus drops at most 2 Phi(-K) <= 2 Phi(-9) ~ 2e-19 of its mass,
   never more than the grid's own tail_epsilon.  Phi is evaluated once per
-  edge, as the tail Phi(-|z|), and slabs are differences of tails.
+  edge, as the tail Phi(-|z|), and slabs are differences of tails.  Panels
+  are sized by the integrand alone: a window gets
+  ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) of them, so a window much
+  narrower than sigma_a takes a single 16-point panel.
+  The density is invariant under (a, b) -> (b, a) and (a, b) -> (-a, -b),
+  so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
+  maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
+  the columns m in [l, -l].  Every other cell is copied from its wedge
+  representative, so the returned matrix is exactly symmetric.
 * rectangle CDF: the cell is mapped to a standard bivariate normal
   rectangle with correlation w/v and evaluated with Gauss-Legendre applied
   to the correlation-integral representation of the bivariate normal CDF.
@@ -43,9 +51,11 @@ DEFAULT_TAIL_EPSILON = 1e-12
 DEFAULT_CELL_BUDGET = 400_000_000
 # Gauss-Legendre order per panel; panels subdivide each window.
 _PANEL_ORDER = 16
-# Extra panel refinement so the conditional slab edge (width sigma_c/|rho|)
-# is resolved, not just the marginal Gaussian.  Without it the fixed rule
-# min(Delta, sigma_a)/4 under-resolves cells at large r and phi_sum near 0.
+# Panels are at most min(sigma_a, _SLAB_RESOLUTION sigma_c/|rho|)/4 wide, so
+# both the marginal Gaussian and the conditional slab edge (which varies in a
+# on the scale sigma_c/|rho|) are resolved; without the second term panels
+# under-resolve cells at large r and phi_sum near 0.  The bin width Delta
+# does not enter: a window narrower than this scale gets one panel.
 _SLAB_RESOLUTION = 8.0
 _DEFAULT_MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
@@ -179,8 +189,7 @@ def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D
 
 def _panel_count(delta: float, coeffs: JointGaussianCoefficients, max_panels: int) -> int:
     """Gauss-Legendre panels per window, checked against the cap on the full window."""
-    sigma_a = coeffs.sigma_marginal
-    scale = min(delta, sigma_a)
+    scale = coeffs.sigma_marginal
     rho = abs(coeffs.correlation)
     if rho > 0.0:
         scale = min(scale, _SLAB_RESOLUTION * coeffs.sigma_conditional / rho)
@@ -205,7 +214,7 @@ def _interval_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np
 
 def _panel_row(state: TmsvParams, coeffs: JointGaussianCoefficients, edges: np.ndarray,
                cut: float, a_nodes: np.ndarray, a_weights: np.ndarray, out: np.ndarray) -> None:
-    """Write the cell probabilities of one a-window against every b-window into out.
+    """Write the cell probabilities of one a-window against the b-windows of `edges` into out.
 
     `edges` are the b-window boundaries in units of sigma_c.  Only the edges
     within `cut` of the conditional means of the nodes are evaluated; the
@@ -234,13 +243,25 @@ def _panel_row(state: TmsvParams, coeffs: JointGaussianCoefficients, edges: np.n
     out[lo:lo + slabs.shape[1]] = f @ slabs
 
 
+def _wedge(l: int, m: int) -> tuple[int, int]:
+    """Representative of cell (l, m) in the wedge l <= -|m|.
+
+    It is the image of (l, m) under one of (l, m) -> (m, l), (-l, -m), (-m, -l).
+    """
+    if abs(m) > abs(l):
+        l, m = m, l
+    return (l, m) if l <= 0 else (-l, -m)
+
+
 def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: CoarseGrid,
                 windows, max_panels: int) -> np.ndarray:
-    """Panel-quadrature cell probabilities of the a-windows `windows` (one row each).
+    """Wedge rows of the a-windows `windows` (each l <= 0), one row each.
 
-    Each window's a-interval is clipped to +-K sigma_a, K = max(9, k) with k
-    the grid's coverage multiple, keeping the panel width of the full
-    window; a window wholly outside gets a zero row.
+    Row l holds the panel-quadrature cell probabilities of the columns
+    m in [l, -l] and zeros elsewhere.  Each window's a-interval is clipped
+    to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple,
+    keeping the panel width of the full window; a window wholly outside
+    gets a zero row.
     """
     delta = grid.delta
     n_panels = _panel_count(delta, coeffs, max_panels)
@@ -253,7 +274,9 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
         hi = min(l * delta + 0.5 * delta, a_cut)
         if lo < hi:
             n = min(n_panels, math.ceil((hi - lo) * n_panels / delta))
-            _panel_row(state, coeffs, edges, cut, *_interval_nodes(lo, hi, n), out=row)
+            j0, j1 = l + grid.l_max, grid.l_max - l + 1
+            _panel_row(state, coeffs, edges[j0:j1 + 1], cut, *_interval_nodes(lo, hi, n),
+                       out=row[j0:j1])
     return rows
 
 
@@ -266,7 +289,14 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     grid = make_grid(state, delta, tail_epsilon, cell_budget)
     coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
     if method == PANEL_QUADRATURE:
-        probs = _panel_rows(state, coeffs, grid, range(-grid.l_max, grid.l_max + 1), max_panels)
+        lmax = grid.l_max
+        probs = np.zeros((grid.n_bins, grid.n_bins))
+        probs[:lmax + 1] = _panel_rows(state, coeffs, grid, range(-lmax, 1), max_panels)
+        # Entries off the wedge are 0 and none is negative, so each maximum
+        # copies the wedge exactly onto its images under (l, m) -> (-l, -m),
+        # then under (l, m) -> (m, l).
+        probs = np.maximum(probs, probs[::-1, ::-1])
+        probs = np.maximum(probs, probs.T)
     elif method == RECTANGLE_CDF:
         probs = np.empty((grid.n_bins, grid.n_bins))
         for i, l in enumerate(range(-grid.l_max, grid.l_max + 1)):
@@ -288,8 +318,9 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     delta = grid.delta
     if method == PANEL_QUADRATURE:
-        row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [l], max_panels)
-        return float(row[0, m + grid.l_max])
+        a, b = _wedge(l, m)
+        row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [a], max_panels)
+        return float(row[0, b + grid.l_max])
     if method == RECTANGLE_CDF:
         sigma = coeffs.sigma_marginal
         x_lo, x_hi = (l * delta - 0.5 * delta) / sigma, (l * delta + 0.5 * delta) / sigma

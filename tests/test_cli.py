@@ -281,19 +281,3 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "entrobell" in capsys.readouterr().out
-
-
-def test_threads_env_rejected(monkeypatch):
-    monkeypatch.setenv("ENTROBELL_THREADS", "two")
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--Delta", "2", "--r-points", "2", "--delta-points", "2"])
-    assert "must be an integer" in str(exc.value)
-
-
-def test_threads_env_accepted(monkeypatch, tmp_path):
-    monkeypatch.setenv("ENTROBELL_THREADS", "2")
-    out = tmp_path / "scan.csv"
-    code = main(["scan", "--Delta", "2", "--r-range", "0", "1", "--r-points", "2",
-                 "--delta-range", "0", "1", "--delta-points", "2",
-                 "--format", "csv", "--output", str(out)])
-    assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
+from entrobell import coarse_grain
 from entrobell import (
     PANEL_QUADRATURE,
     RECTANGLE_CDF,
@@ -186,11 +187,38 @@ def test_unknown_method_rejected():
 # -- full joint matrices ------------------------------------------------------
 
 def test_joint_matrix_symmetries():
-    state = TmsvParams(1.2)
-    d = binned_joint(state, 0.9, 1.5)
-    # density is symmetric under (a,b) swap and under global sign flip
-    assert np.allclose(d.probs, d.probs.T, rtol=0, atol=1e-15)
-    assert np.allclose(d.probs, d.probs[::-1, ::-1], rtol=0, atol=1e-15)
+    # density is symmetric under (a,b) swap and under global sign flip; the
+    # matrix is unfolded from one wedge, so both hold exactly
+    for r, phi_sum, delta in [(1.2, 0.9, 1.5), (1.0, 0.5, 2.0), (3.0, 1e-3, 1.5),
+                              (0.5, 0.2, 50.0), (2.0, 0.1, 50.0)]:
+        d = binned_joint(TmsvParams(r), phi_sum, delta)
+        assert np.array_equal(d.probs, d.probs.T)
+        assert np.array_equal(d.probs, d.probs[::-1, ::-1])
+
+
+def test_joint_integrates_only_the_wedge_rows(monkeypatch):
+    calls = []
+    row = coarse_grain._panel_row
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(coarse_grain, "_panel_row", counted)
+    joint = binned_joint(TmsvParams(1.0), 0.5, 0.5)
+    assert joint.grid.l_max > 5
+    assert 0 < len(calls) <= joint.grid.l_max + 1
+
+
+def test_panel_count_follows_the_integrand():
+    # panels are at most min(sigma_a, 8 sigma_c/|rho|)/4 wide, whatever Delta
+    def n_panels(r, phi_sum, delta):
+        c = coefficients(TmsvParams(r), PhaseSettings(0.0, phi_sum))
+        return coarse_grain._panel_count(delta, c, 10 ** 6)
+
+    assert n_panels(0.6, 0.5, 0.3) == 2
+    assert n_panels(1.0, 0.05, 0.2) == 1
+    assert n_panels(0.0, 0.0, 50.0) == 283
 
 
 def test_joint_matrix_reflection():
@@ -243,9 +271,12 @@ def test_joint_deterministic():
 
 
 # (3, 1e-3, 1.5): the b-band of each row is a few of 97 windows; (0.5, 0.2, 50)
-# and (2, 0.1, 50): the single or outer windows reach far beyond K sigma_a.
+# and (2, 0.1, 50): the single or outer windows reach far beyond K sigma_a;
+# (0.6, 0.5, 0.3) and (1, 0.05, 0.2): windows narrower than sigma_a take 2 and
+# 1 panels.
 @pytest.mark.parametrize("r, phi_sum, delta", [
     (1.0, 0.5, 2.0), (3.0, 1e-3, 1.5), (0.5, 0.2, 50.0), (2.0, 0.1, 50.0),
+    (0.6, 0.5, 0.3), (1.0, 0.05, 0.2),
 ])
 def test_joint_methods_agree_matrixwise(r, phi_sum, delta):
     state = TmsvParams(r)
@@ -264,10 +295,19 @@ def test_bin_prob_2d_is_the_binned_joint_entry(r, phi_sum, delta):
     joint = binned_joint(state, phi_sum, delta)
     c = coefficients(state, PhaseSettings(0.0, phi_sum))
     lm = joint.grid.l_max
-    for l in range(-min(lm, 2), min(lm, 2) + 1):
-        for m in range(-min(lm, 2), min(lm, 2) + 1):
+    # the centre, the outermost windows and their neighbours
+    idx = sorted({i for i in (-lm, 1 - lm, -2, -1, 0, 1, 2, lm - 1, lm) if abs(i) <= lm})
+    maps = {"identity": lambda l, m: (l, m), "swap": lambda l, m: (m, l),
+            "flip": lambda l, m: (-l, -m), "swap-flip": lambda l, m: (-m, -l)}
+    used = set()
+    for l in idx:
+        for m in idx:
+            # the first of the four maps that takes (l, m) into the wedge l <= -|m|
+            used.add(next(name for name, f in maps.items()
+                          if f(l, m)[0] <= -abs(f(l, m)[1])))
             assert bin_prob_2d(c, joint.grid, l, m, method=PANEL_QUADRATURE) \
                 == joint.probs[l + lm, m + lm]
+    assert used == set(maps)
 
 
 def test_windows_beyond_the_cut_are_zero():
