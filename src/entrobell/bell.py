@@ -18,7 +18,6 @@ grids, and minimises it over (r, delta).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +26,9 @@ import numpy as np
 from scipy import optimize
 
 from ._version import __version__
-from .coarse_grain import DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, binned_joint, make_grid
+from .coarse_grain import (
+    DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, BinnedDistribution2D, binned_joint, make_grid,
+)
 from .entropy import EntropyTerms, conditional_entropy, s_qm
 from .gaussian_core import TmsvParams
 
@@ -146,6 +147,23 @@ class BellEvaluation:
         }
 
 
+def _evaluate_with_joints(state: TmsvParams, theta: float, theta_prime: float,
+                          phi: float, phi_prime: float, delta_bin: float,
+                          tail_epsilon: float, delta: float | None = None,
+                          ) -> tuple[BellEvaluation, list[BinnedDistribution2D]]:
+    """`evaluate_general` together with the joints of (A,B'), (A',B'), (A',B), (A,B)."""
+    joints = [binned_joint(state, phase_sum, delta_bin, tail_epsilon)
+              for phase_sum in (theta + phi_prime, theta_prime + phi_prime,
+                                theta_prime + phi, theta + phi)]
+    ev = BellEvaluation(
+        r=state.r, delta_bin=delta_bin, tail_epsilon=tail_epsilon,
+        theta=theta, theta_prime=theta_prime, phi=phi, phi_prime=phi_prime,
+        terms=tuple(conditional_entropy(joint) for joint in joints),
+        grid_l_max=joints[-1].grid.l_max, delta=delta,
+    )
+    return ev, joints
+
+
 def evaluate_general(state: TmsvParams, theta: float, theta_prime: float,
                      phi: float, phi_prime: float, delta_bin: float,
                      tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> BellEvaluation:
@@ -155,25 +173,23 @@ def evaluate_general(state: TmsvParams, theta: float, theta_prime: float,
     reduction identity of the one-parameter geometry can be verified against
     this rather than being baked in.
     """
-    joints = [binned_joint(state, phase_sum, delta_bin, tail_epsilon)
-              for phase_sum in (theta + phi_prime, theta_prime + phi_prime,
-                                theta_prime + phi, theta + phi)]
-    return BellEvaluation(
-        r=state.r, delta_bin=delta_bin, tail_epsilon=tail_epsilon,
-        theta=theta, theta_prime=theta_prime, phi=phi, phi_prime=phi_prime,
-        terms=tuple(conditional_entropy(joint) for joint in joints),
-        grid_l_max=joints[-1].grid.l_max,
+    return _evaluate_with_joints(state, theta, theta_prime, phi, phi_prime,
+                                 delta_bin, tail_epsilon)[0]
+
+
+def _evaluate_geometry(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
+                       tail_epsilon: float) -> tuple[BellEvaluation, list[BinnedDistribution2D]]:
+    """`evaluate` together with the four pair joints it was computed from."""
+    return _evaluate_with_joints(
+        state, geometry.theta, geometry.theta_prime, geometry.phi,
+        geometry.phi_prime, delta_bin, tail_epsilon, geometry.delta,
     )
 
 
 def evaluate(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
              tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> BellEvaluation:
     """Chained combination for the one-parameter angle family."""
-    ev = evaluate_general(
-        state, geometry.theta, geometry.theta_prime, geometry.phi,
-        geometry.phi_prime, delta_bin, tail_epsilon,
-    )
-    return dataclasses.replace(ev, delta=geometry.delta)
+    return _evaluate_geometry(state, geometry, delta_bin, tail_epsilon)[0]
 
 
 def evaluate_mutual_info(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,

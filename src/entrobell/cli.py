@@ -20,6 +20,7 @@ from ._version import __version__
 from .bell import (
     AngleGeometry,
     MinimizeOptions,
+    _evaluate_geometry,
     evaluate,
     minimize,
     scan,
@@ -29,7 +30,6 @@ from .coarse_grain import (
     DEFAULT_TAIL_EPSILON,
     GridTooLarge,
     QuadratureBudgetExceeded,
-    binned_joint,
 )
 from .entropy import InvalidDistribution
 from .experiment_sim import DEFAULT_BOOTSTRAP, empirical_d_qm, sample_pairs
@@ -209,15 +209,17 @@ def _cmd_eval(args, parser) -> int:
     delta = _resolve_delta(args, parser)
     state = TmsvParams(args.r)
     geometry = AngleGeometry(delta=delta, theta=args.theta)
-    ev = evaluate(state, geometry, args.delta_bin, args.tail_epsilon)
+    if args.dump_dist is None:
+        ev = evaluate(state, geometry, args.delta_bin, args.tail_epsilon)
+    else:
+        # the dumps are the four joints that the evaluation was computed from
+        ev, joints = _evaluate_geometry(state, geometry, args.delta_bin, args.tail_epsilon)
+        for tag, dist in zip(_PAIR_TAGS, joints):
+            with open(f"{args.dump_dist}.{tag}.csv", "w", encoding="utf-8") as fh:
+                dist.to_csv(fh)
     payload = ev.to_dict()
     if args.mutual_info:
         payload["mutual_info_margin"] = ev.mutual_info_margin
-    if args.dump_dist is not None:
-        for tag, phs in zip(_PAIR_TAGS, geometry.pair_sums()):
-            dist = binned_joint(state, phs, args.delta_bin, args.tail_epsilon)
-            with open(f"{args.dump_dist}.{tag}.csv", "w", encoding="utf-8") as fh:
-                dist.to_csv(fh)
 
     if args.format == "json":
         _emit_json(payload, args)

@@ -26,7 +26,16 @@ Two independent routes compute the probability of a 2D cell:
   so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
   maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
   the columns m in [l, -l].  Every other cell is copied from its wedge
-  representative, so the returned matrix is exactly symmetric.
+  representative, so the returned matrix is exactly symmetric, and the
+  captured mass is the fsum of the nonzero wedge entries scaled by their
+  orbit sizes (1, 2 or 4; exact, so equal to the fsum over every cell).
+  The wedge rows are computed together: rows with equal panel counts (in a
+  joint, the window the clip cuts and all the others) share one band
+  width, and are evaluated in blocks whose (rows, edges, nodes) arrays hold
+  at most _BLOCK_ELEMENTS elements, or one row if a row alone is larger.
+  Every cell depends on its own row alone, so the result is bitwise the
+  same for any block size, and bin_prob_2d, which computes one row on the
+  same path, returns bitwise the binned_joint entry.
 * rectangle CDF: the cell is mapped to a standard bivariate normal
   rectangle with correlation w/v and evaluated with Gauss-Legendre applied
   to the correlation-integral representation of the bivariate normal CDF.
@@ -61,6 +70,9 @@ _DEFAULT_MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
 # drops at most 2 Phi(-9) ~ 2e-19 of its mass.
 _MIN_CUT = 9.0
+# Elements of one (rows, edges, nodes) block of the panel kernel; a row
+# larger than this forms a block of its own.  Results do not depend on it.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 class GridTooLarge(Exception):
@@ -202,47 +214,6 @@ def _panel_count(delta: float, coeffs: JointGaussianCoefficients, max_panels: in
     return n_panels
 
 
-def _interval_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights of n_panels equal panels tiling [lo, hi]."""
-    x, wts = _GL16
-    pw = (hi - lo) / n_panels
-    starts = lo + pw * np.arange(n_panels)
-    nodes = (starts[:, None] + 0.5 * pw * (x[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * pw * wts, n_panels)
-    return nodes, weights
-
-
-def _panel_row(state: TmsvParams, coeffs: JointGaussianCoefficients, edges: np.ndarray,
-               cut: float, a_nodes: np.ndarray, a_weights: np.ndarray, out: np.ndarray) -> None:
-    """Write the cell probabilities of one a-window against the b-windows of `edges` into out.
-
-    `edges` are the b-window boundaries in units of sigma_c.  Only the edges
-    within `cut` of the conditional means of the nodes are evaluated; the
-    slabs beyond them keep the zeros already in out.
-    """
-    f = a_weights * marginal_pdf(state, a_nodes)
-    mu = coeffs.correlation * a_nodes / coeffs.sigma_conditional
-    lo = max(int(np.searchsorted(edges, mu.min() - cut, side="right")) - 1, 0)
-    band = edges[lo:np.searchsorted(edges, mu.max() + cut) + 1]
-    if band.size < 2:
-        return
-    z = band[None, :] - mu[:, None]
-    # One Phi per edge: h = sign(z) Phi(-|z|), so Phi(z) = [z >= 0] - h with
-    # both tails kept to full relative precision.
-    h = np.abs(z)
-    np.negative(h, out=h)
-    special.ndtr(h, out=h)
-    np.copysign(h, z, out=h)
-    slabs = h[:, :-1] - h[:, 1:]
-    # The slab holding mu also gains the unit step of [z >= 0]; k is the
-    # first edge with z >= 0, found by the same comparison that signs z.
-    k = np.searchsorted(band, mu)
-    inner = (k > 0) & (k < band.size)
-    slabs[inner, k[inner] - 1] += 1.0
-    np.maximum(slabs, 0.0, out=slabs)
-    out[lo:lo + slabs.shape[1]] = f @ slabs
-
-
 def _wedge(l: int, m: int) -> tuple[int, int]:
     """Representative of cell (l, m) in the wedge l <= -|m|.
 
@@ -261,23 +232,81 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
     m in [l, -l] and zeros elsewhere.  Each window's a-interval is clipped
     to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple,
     keeping the panel width of the full window; a window wholly outside
-    gets a zero row.
+    gets a zero row.  Only the b-edges within K sigma_c of the span of the
+    row's conditional means are evaluated; the slabs beyond stay 0.
+
+    The rows are computed together: rows with equal panel counts form a
+    group, whose rows share one band width, and each group is evaluated in
+    blocks of at most _BLOCK_ELEMENTS (rows, edges, nodes) elements, or one
+    row.  Every cell is a function of its own row alone, so the result does
+    not depend on the grouping or the block size.
     """
-    delta = grid.delta
+    delta, lmax = grid.delta, grid.l_max
     n_panels = _panel_count(delta, coeffs, max_panels)
     cut = max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
     a_cut = cut * state.marginal_sigma
     edges = grid.edges() / coeffs.sigma_conditional
-    rows = np.zeros((len(windows), grid.n_bins))
-    for row, l in zip(rows, windows):
-        lo = max(l * delta - 0.5 * delta, -a_cut)
-        hi = min(l * delta + 0.5 * delta, a_cut)
-        if lo < hi:
-            n = min(n_panels, math.ceil((hi - lo) * n_panels / delta))
-            j0, j1 = l + grid.l_max, grid.l_max - l + 1
-            _panel_row(state, coeffs, edges[j0:j1 + 1], cut, *_interval_nodes(lo, hi, n),
-                       out=row[j0:j1])
-    return rows
+    x1, wts = _GL16[0] + 1.0, _GL16[1]
+    windows = np.asarray(windows, dtype=int)
+    # Row i is written from its band start; the padding takes the zero
+    # columns that a block writes past a row narrower than the group's band.
+    rows = np.zeros((len(windows), 2 * grid.n_bins))
+    centres = windows * delta
+    lo = np.maximum(centres - 0.5 * delta, -a_cut)
+    # A window wholly beyond the cut gets one panel of width 0: a zero row.
+    width = np.maximum(np.minimum(centres + 0.5 * delta, a_cut), lo) - lo
+    counts = np.maximum(np.minimum(n_panels, np.ceil(width * n_panels / delta)), 1)
+    pw = width / counts
+    half = 0.5 * pw
+    # Panel p of a row has the nodes lo + pw p + half (x + 1).  They increase
+    # along the row and mu = rho a / sigma_c is monotone in them, so the
+    # row's first and last node give the span of mu.
+    mu_lo, mu_hi = coeffs.correlation * np.array(
+        [lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]]) / coeffs.sigma_conditional
+    if coeffs.correlation < 0.0:
+        mu_lo, mu_hi = mu_hi, mu_lo
+    # Band edges s..last, within the row's wedge edges j0..j1.
+    j0, j1 = windows + lmax, lmax - windows + 1
+    s = np.maximum(np.minimum(edges.searchsorted(mu_lo - cut, side="right") - 1, j1), j0)
+    last = np.minimum(np.maximum(edges.searchsorted(mu_hi + cut), j0), j1)
+    span = last - s
+    chunk = np.getbufsize()
+    # Runs of rows with equal panel counts form the groups: in a joint, the
+    # window that the clip cuts, and all the others.
+    bounds = [0, *((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist(), len(counts)]
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        count = int(counts[g0])
+        b = int(span[g0:g1].max()) + 1  # edges per row, shared by the group
+        cols = np.arange(b)
+        per_block = max(1, _BLOCK_ELEMENTS // (b * _PANEL_ORDER * count))
+        for blk in (slice(i, min(i + per_block, g1)) for i in range(g0, g1, per_block)):
+            starts = lo[blk, None] + pw[blk, None] * np.arange(count)
+            nodes = starts[:, :, None] + half[blk, None, None] * x1
+            f = (marginal_pdf(state, nodes) * (half[blk, None, None] * wts)).reshape(len(nodes), -1)
+            mu = (coeffs.correlation * nodes / coeffs.sigma_conditional).reshape(len(nodes), -1)
+            # Past its band a row repeats its last edge, so its slabs there are 0.
+            band = edges[np.minimum(s[blk, None] + cols, last[blk, None])]
+            z = band[:, :, None] - mu[:, None, :]
+            # One Phi per edge: h = sign(z) Phi(-|z|), so Phi(z) = [z >= 0] - h
+            # with both tails kept to full relative precision.
+            h = np.abs(z)
+            np.negative(h, out=h)
+            special.ndtr(h, out=h)
+            np.copysign(h, z, out=h)
+            slabs = h[:, :-1] - h[:, 1:]
+            # The slab holding mu, where z changes sign, also gains the unit
+            # step of [z >= 0].
+            step_up = z >= 0.0
+            slabs += step_up[:, 1:] > step_up[:, :-1]
+            np.maximum(slabs, 0.0, out=slabs)
+            # einsum sums up to np.getbufsize() nodes in one pass, but splits
+            # longer sums in a way that depends on the block's shape; fixed
+            # chunks of that length keep every cell independent of its block.
+            cells = np.einsum("ren,rn->re", slabs[..., :chunk], f[:, :chunk])
+            for n0 in range(chunk, f.shape[1], chunk):
+                cells += np.einsum("ren,rn->re", slabs[..., n0:n0 + chunk], f[:, n0:n0 + chunk])
+            rows[np.arange(blk.start, blk.stop)[:, None], s[blk, None] + cols[:-1]] = cells
+    return rows[:, :grid.n_bins]
 
 
 def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
@@ -290,22 +319,30 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
     if method == PANEL_QUADRATURE:
         lmax = grid.l_max
+        wedge = _panel_rows(state, coeffs, grid, np.arange(-lmax, 1), max_panels)
+        # Each wedge entry stands for its orbit under (l, m) -> (m, l) and
+        # (l, m) -> (-l, -m): 1 cell at the centre, 2 on m = +-l, 4 elsewhere.
+        # Scaling by 2 or 4 is exact, so the correctly rounded fsum equals
+        # that over the whole matrix.
+        i, j = np.nonzero(wedge)
+        orbit_log2 = 2 - (j == i) - (i + j == 2 * lmax)
+        captured_mass = math.fsum(np.ldexp(wedge[i, j], orbit_log2).tolist())
         probs = np.zeros((grid.n_bins, grid.n_bins))
-        probs[:lmax + 1] = _panel_rows(state, coeffs, grid, range(-lmax, 1), max_panels)
-        # Entries off the wedge are 0 and none is negative, so each maximum
-        # copies the wedge exactly onto its images under (l, m) -> (-l, -m),
-        # then under (l, m) -> (m, l).
-        probs = np.maximum(probs, probs[::-1, ::-1])
+        probs[:lmax + 1] = wedge
+        probs[lmax + 1:] = wedge[-2::-1, ::-1]  # p[l, m] = p[-l, -m]
+        # Entries off the wedge are 0 and none is negative, so the maximum
+        # copies the rows above onto their images under (l, m) -> (m, l).
         probs = np.maximum(probs, probs.T)
     elif method == RECTANGLE_CDF:
         probs = np.empty((grid.n_bins, grid.n_bins))
         for i, l in enumerate(range(-grid.l_max, grid.l_max + 1)):
             for j, m in enumerate(range(-grid.l_max, grid.l_max + 1)):
                 probs[i, j] = bin_prob_2d(coeffs, grid, l, m, method=RECTANGLE_CDF)
+        captured_mass = math.fsum(probs.ravel().tolist())
     else:
         raise ValueError(f"unknown method {method!r}")
     return BinnedDistribution2D(
-        probs=probs, captured_mass=math.fsum(probs.ravel().tolist()),
+        probs=probs, captured_mass=captured_mass,
         grid=grid, r=state.r, phi_sum=phi_sum, method=method,
     )
 

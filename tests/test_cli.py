@@ -1,13 +1,16 @@
 """Command-line surface: formats, config merging, exit codes."""
 
+import io
 import json
 import math
+import sys
 
 import pytest
 
 from entrobell.cli import main
+from entrobell.coarse_grain import binned_joint
 from entrobell.gaussian_core import TmsvParams
-from entrobell.bell import d_qm_value
+from entrobell.bell import AngleGeometry, d_qm_value, evaluate
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -103,6 +106,33 @@ def test_dump_dist_writes_four_pair_files(tmp_path):
         assert lines[0] == "l,m,p"
         total = sum(float(row.split(",")[2]) for row in lines[1:])
         assert 1 - 1e-6 <= total <= 1 + 1e-10
+
+
+def test_dump_dist_reuses_the_four_joints(tmp_path, monkeypatch):
+    # the dumps are the joints of the evaluation, built once each, and equal
+    # to the joints of the four pair phase sums
+    state, geometry = TmsvParams(1.2), AngleGeometry(0.9, theta=0.3)
+    expected = {}
+    for tag, phs in zip(("ab_prime", "aprime_bprime", "aprime_b", "ab"), geometry.pair_sums()):
+        buf = io.StringIO()
+        binned_joint(state, phs, 1.5).to_csv(buf)
+        expected[tag] = buf.getvalue()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return binned_joint(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entrobell") and getattr(module, "binned_joint", None) is binned_joint:
+            monkeypatch.setattr(module, "binned_joint", counted)
+    prefix = tmp_path / "joint"
+    payload = run_json(["eval", "--r", "1.2", "--delta", "0.9", "--theta", "0.3",
+                        "--Delta", "1.5", "--dump-dist", str(prefix)], tmp_path)
+    assert len(calls) == 4
+    assert payload["d_qm"] == evaluate(state, geometry, 1.5).d_qm
+    for tag, text in expected.items():
+        assert (tmp_path / f"joint.{tag}.csv").read_text() == text
 
 
 def test_config_supplies_defaults(tmp_path):

@@ -198,16 +198,29 @@ def test_joint_matrix_symmetries():
 
 def test_joint_integrates_only_the_wedge_rows(monkeypatch):
     calls = []
-    row = coarse_grain._panel_row
+    panel_rows = coarse_grain._panel_rows
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return row(*args, **kwargs)
+    def counted(state, coeffs, grid, windows, max_panels):
+        calls.append(list(windows))
+        return panel_rows(state, coeffs, grid, windows, max_panels)
 
-    monkeypatch.setattr(coarse_grain, "_panel_row", counted)
+    monkeypatch.setattr(coarse_grain, "_panel_rows", counted)
     joint = binned_joint(TmsvParams(1.0), 0.5, 0.5)
     assert joint.grid.l_max > 5
-    assert 0 < len(calls) <= joint.grid.l_max + 1
+    assert calls == [list(range(-joint.grid.l_max, 1))]
+
+
+# (3, 1e-3, 1.5): narrow bands; (2, 0.1, 50): a clipped outer window, so two
+# panel counts; (1, 0.05, 0.2): 51 one-panel rows
+@pytest.mark.parametrize("r, phi_sum, delta", [(3.0, 1e-3, 1.5), (2.0, 0.1, 50.0),
+                                               (1.0, 0.05, 0.2)])
+def test_panel_rows_block_size_invariant(monkeypatch, r, phi_sum, delta):
+    state = TmsvParams(r)
+    default = binned_joint(state, phi_sum, delta)
+    monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", 1)  # one row per block
+    one_row = binned_joint(state, phi_sum, delta)
+    assert np.array_equal(one_row.probs, default.probs)
+    assert one_row.captured_mass == default.captured_mass
 
 
 def test_panel_count_follows_the_integrand():
@@ -289,6 +302,17 @@ def test_joint_methods_agree_matrixwise(r, phi_sum, delta):
     assert np.max(np.abs(p.marginal_a() - marg)) < 1e-12
 
 
+@pytest.mark.parametrize("r, phi_sum, delta", [
+    (1.0, 0.5, 2.0), (3.0, 1e-3, 1.5), (0.5, 0.2, 50.0), (2.0, 0.1, 50.0),
+    (0.6, 0.5, 0.3), (1.0, 0.05, 0.2),
+])
+def test_captured_mass_is_the_full_fsum(r, phi_sum, delta):
+    # the mass is summed over the wedge with orbit sizes; fsum is correctly
+    # rounded, so it equals the sum over every cell
+    joint = binned_joint(TmsvParams(r), phi_sum, delta)
+    assert joint.captured_mass == math.fsum(joint.probs.ravel().tolist())
+
+
 @pytest.mark.parametrize("r, phi_sum, delta", [(3.0, 1e-3, 1.5), (2.0, 0.1, 50.0)])
 def test_bin_prob_2d_is_the_binned_joint_entry(r, phi_sum, delta):
     state = TmsvParams(r)
@@ -308,6 +332,18 @@ def test_bin_prob_2d_is_the_binned_joint_entry(r, phi_sum, delta):
             assert bin_prob_2d(c, joint.grid, l, m, method=PANEL_QUADRATURE) \
                 == joint.probs[l + lm, m + lm]
     assert used == set(maps)
+
+
+def test_bin_prob_2d_is_the_binned_joint_entry_on_long_rows():
+    # 43680 nodes per row, more than numpy's buffer: the contraction is
+    # chunked so that a one-row call sums exactly as the joint's block does
+    state = TmsvParams(4.0)
+    joint = binned_joint(state, 0.0, 100.0)
+    c = coefficients(state, PhaseSettings(0.0, 0.0))
+    lm = joint.grid.l_max
+    for l in range(-lm, lm + 1):
+        for m in range(-lm, lm + 1):
+            assert bin_prob_2d(c, joint.grid, l, m) == joint.probs[l + lm, m + lm]
 
 
 def test_windows_beyond_the_cut_are_zero():
