@@ -35,6 +35,25 @@ from .gaussian_core import TmsvParams
 SCAN_CSV_HEADER = "r,delta,Delta,d_qm"
 
 
+def _provenance(tail_epsilon: float) -> dict:
+    """Keys that say which code made a result."""
+    return {"version": __version__, "method": PANEL_QUADRATURE, "tail_epsilon": tail_epsilon}
+
+
+def _write_scan_csv(fh, rows) -> None:
+    """SCAN_CSV_HEADER, then one row per (r, delta, Delta, d_qm) tuple."""
+    fh.write(SCAN_CSV_HEADER + "\n")
+    for row in rows:
+        fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+
+
+def _chained(terms: tuple[EntropyTerms, EntropyTerms, EntropyTerms, EntropyTerms]) -> float:
+    """S(A|B') + S(B'|A') + S(A'|B) - S(A|B) from the terms of (A,B'), (A',B'), (A',B), (A,B)."""
+    ab_prime, apbp, aprime_b, ab = terms
+    return (ab_prime.s_conditional + apbp.s_b_given_a
+            + aprime_b.s_conditional - ab.s_conditional)
+
+
 @dataclass(frozen=True)
 class AngleGeometry:
     """Measurement angles of the chained inequality, parametrised by delta.
@@ -105,8 +124,7 @@ class BellEvaluation:
 
     @property
     def d_qm(self) -> float:
-        return (self.term_a_given_bprime + self.term_bprime_given_aprime
-                + self.term_aprime_given_b - self.term_a_given_b)
+        return _chained(self.terms)
 
     @property
     def mutual_info_margin(self) -> float:
@@ -126,7 +144,7 @@ class BellEvaluation:
 
     def to_dict(self) -> dict:
         return {
-            "version": __version__,
+            **_provenance(self.tail_epsilon),
             "r": self.r,
             "delta": self.delta,
             "Delta": self.delta_bin,
@@ -141,9 +159,7 @@ class BellEvaluation:
                 "S(A|B)": self.term_a_given_b,
             },
             "d_qm": self.d_qm,
-            "tail_epsilon": self.tail_epsilon,
             "grid_l_max": self.grid_l_max,
-            "method": PANEL_QUADRATURE,
         }
 
 
@@ -221,19 +237,19 @@ class ScanResult:
         i, j = np.unravel_index(np.argmin(self.d_qm), self.d_qm.shape)
         return float(self.d_qm[i, j]), float(self.r_values[i]), float(self.delta_values[j])
 
-    def to_csv(self, fh) -> None:
-        fh.write(SCAN_CSV_HEADER + "\n")
+    def _csv_rows(self):
         for i, r in enumerate(self.r_values):
             for j, d in enumerate(self.delta_values):
-                fh.write(f"{r:.12g},{d:.12g},{self.delta_bin:.12g},{self.d_qm[i, j]:.12g}\n")
+                yield r, d, self.delta_bin, self.d_qm[i, j]
+
+    def to_csv(self, fh) -> None:
+        _write_scan_csv(fh, self._csv_rows())
 
     def to_dict(self) -> dict:
         return {
-            "version": __version__,
+            **_provenance(self.tail_epsilon),
             "kind": "scan",
-            "method": PANEL_QUADRATURE,
             "delta_bin": self.delta_bin,
-            "tail_epsilon": self.tail_epsilon,
             "grid_l_range": list(self.grid_l_range),
             "r_values": self.r_values.tolist(),
             "delta_values": self.delta_values.tolist(),
@@ -266,17 +282,14 @@ class ZeroOffsetScanResult:
     tail_epsilon: float
 
     def to_csv(self, fh) -> None:
-        fh.write(SCAN_CSV_HEADER + "\n")
-        for i, r in enumerate(self.r_values):
-            for j, db in enumerate(self.delta_bin_values):
-                fh.write(f"{r:.12g},0,{db:.12g},{self.d_qm[i, j]:.12g}\n")
+        _write_scan_csv(fh, ((r, 0.0, db, self.d_qm[i, j])
+                             for i, r in enumerate(self.r_values)
+                             for j, db in enumerate(self.delta_bin_values)))
 
     def to_dict(self) -> dict:
         return {
-            "version": __version__,
+            **_provenance(self.tail_epsilon),
             "kind": "zero-offset-scan",
-            "method": PANEL_QUADRATURE,
-            "tail_epsilon": self.tail_epsilon,
             "r_values": self.r_values.tolist(),
             "delta_bin_values": self.delta_bin_values.tolist(),
             "d_qm": self.d_qm.tolist(),
@@ -335,9 +348,8 @@ class MinimizationResult:
 
     def to_dict(self) -> dict:
         return {
-            "version": __version__,
+            **_provenance(self.tail_epsilon),
             "kind": "minimize",
-            "method": PANEL_QUADRATURE,
             "r_star": self.r_star,
             "delta_star": self.delta_star,
             "delta_star_over_pi": self.delta_star / math.pi,
@@ -348,7 +360,6 @@ class MinimizationResult:
             "coarse_d_min": self.coarse_d_min,
             "r_bounds": list(self.r_bounds),
             "delta_bounds": list(self.delta_bounds),
-            "tail_epsilon": self.tail_epsilon,
         }
 
 
@@ -382,7 +393,8 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     n_evals = len(jobs)
     coarse_d_min = float(flat.min())
 
-    best = {"x": None, "f": math.inf}
+    order = np.argsort(flat, kind="stable")
+    best = {"x": jobs[int(order[0])], "f": float(flat[order[0]])}
 
     def objective(x) -> float:
         r = min(max(float(x[0]), r_lo), r_hi)
@@ -392,13 +404,8 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
             best["x"], best["f"] = (r, d), val
         return val
 
-    for idx, (r0, d0) in enumerate(jobs):
-        if flat[idx] < best["f"]:
-            best["x"], best["f"] = (r0, d0), float(flat[idx])
-
-    starts = np.argsort(flat, kind="stable")[: options.refine_starts]
     converged = False
-    for s in starts:
+    for s in order[: options.refine_starts]:
         x0 = np.array(jobs[int(s)])
         res = optimize.minimize(
             objective, x0, method="Nelder-Mead",

@@ -21,10 +21,12 @@ from .bell import (
     AngleGeometry,
     MinimizeOptions,
     _evaluate_geometry,
+    _write_scan_csv,
     evaluate,
     minimize,
     scan,
     scan_zero_delta,
+    write_json,
 )
 from .coarse_grain import (
     DEFAULT_TAIL_EPSILON,
@@ -53,8 +55,7 @@ def _sink(path: str | None):
 
 def _emit_json(payload: dict, args) -> None:
     with _sink(args.output) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(payload, fh)
 
 
 def _resolve_delta(args, parser) -> float:
@@ -225,8 +226,7 @@ def _cmd_eval(args, parser) -> int:
         _emit_json(payload, args)
     elif args.format == "csv":
         with _sink(args.output) as fh:
-            fh.write("r,delta,Delta,d_qm\n")
-            fh.write(f"{ev.r:.12g},{delta:.12g},{ev.delta_bin:.12g},{ev.d_qm:.12g}\n")
+            _write_scan_csv(fh, [(ev.r, delta, ev.delta_bin, ev.d_qm)])
     else:
         with _sink(args.output) as fh:
             verdict = "violation" if ev.d_qm < 0 else "no violation"
@@ -305,13 +305,12 @@ def _cmd_validate(args, parser) -> int:
     failed = [res.name for res in results if not res.passed]
     with _sink(args.output) as fh:
         if args.format == "json":
-            json.dump({
+            write_json({
                 "version": __version__,
                 "quick": args.quick,
                 "checks": [res.__dict__ for res in results],
                 "failed": failed,
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            }, fh)
         else:
             for res in results:
                 mark = "PASS" if res.passed else "FAIL"
@@ -379,12 +378,7 @@ def _cmd_figure(args, parser) -> int:
             }, args)
         else:
             with _sink(args.output) as fh:
-                fh.write("r,delta,Delta,d_qm\n")
-                for res in results:
-                    for i, r in enumerate(res.r_values):
-                        for j, d in enumerate(res.delta_values):
-                            fh.write(f"{r:.12g},{d:.12g},{res.delta_bin:.12g},"
-                                     f"{res.d_qm[i, j]:.12g}\n")
+                _write_scan_csv(fh, (row for res in results for row in res._csv_rows()))
         return 0
 
     r_lo, r_hi = args.r_range if args.r_range else (0.0, 3.0)

@@ -17,11 +17,10 @@ Two independent routes compute the probability of a 2D cell:
   only the b-edges within K sigma_c of the span of conditional means over
   the window's nodes are evaluated, and the slabs beyond stay exactly 0.
   Each row thus drops at most 2 Phi(-K) <= 2 Phi(-9) ~ 2e-19 of its mass,
-  never more than the grid's own tail_epsilon.  Phi is evaluated once per
-  edge, as the tail Phi(-|z|), and slabs are differences of tails.  Panels
-  are sized by the integrand alone: a window gets
-  ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) of them, so a window much
-  narrower than sigma_a takes a single 16-point panel.
+  never more than the grid's own tail_epsilon.  Panels are sized by the
+  integrand alone: a window gets ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|))
+  of them, so a window much narrower than sigma_a takes a single 16-point
+  panel.
   The density is invariant under (a, b) -> (b, a) and (a, b) -> (-a, -b),
   so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
   maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
@@ -41,6 +40,12 @@ Two independent routes compute the probability of a 2D cell:
   to the correlation-integral representation of the bivariate normal CDF.
 
 The two must agree to 1e-10 absolute; they share no quadrature machinery.
+
+Every normal slab Phi(z_hi) - Phi(z_lo), in the panel kernel and in the
+exact marginal windows of bin_prob_1d, has one form: Phi is evaluated once
+per edge as the signed tail h = sign(z) Phi(-|z|), and a slab is the
+difference of the two tails plus the unit step where z changes sign, so
+both tails keep full relative precision.
 """
 
 from __future__ import annotations
@@ -173,11 +178,21 @@ def make_grid(state: TmsvParams, delta: float,
     return CoarseGrid(delta=delta, l_max=l_max, tail_epsilon=tail_epsilon)
 
 
-def _phi_diff(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
-    """Phi(z_hi) - Phi(z_lo) for z_hi >= z_lo, stable in both tails."""
-    lower = special.ndtr(z_hi) - special.ndtr(z_lo)
-    upper = special.ndtr(-z_lo) - special.ndtr(-z_hi)
-    return np.maximum(np.where(z_lo + z_hi > 0.0, upper, lower), 0.0)
+def _normal_slabs(z: np.ndarray) -> np.ndarray:
+    """Phi(z[:, k + 1]) - Phi(z[:, k]) for z increasing along axis 1.
+
+    With h = sign(z) Phi(-|z|), Phi(z) = [z >= 0] - h: a slab is the
+    difference of two tails, plus 1 where z changes sign.
+    """
+    h = np.abs(z)
+    np.negative(h, out=h)
+    special.ndtr(h, out=h)
+    np.copysign(h, z, out=h)
+    slabs = h[:, :-1] - h[:, 1:]
+    step_up = z >= 0.0
+    slabs += step_up[:, 1:] > step_up[:, :-1]
+    np.maximum(slabs, 0.0, out=slabs)
+    return slabs
 
 
 def bin_prob_1d(state: TmsvParams, grid: CoarseGrid, m) -> np.ndarray | float:
@@ -188,7 +203,7 @@ def bin_prob_1d(state: TmsvParams, grid: CoarseGrid, m) -> np.ndarray | float:
     sigma = state.marginal_sigma
     lo = (m_arr * grid.delta - 0.5 * grid.delta) / sigma
     hi = (m_arr * grid.delta + 0.5 * grid.delta) / sigma
-    out = _phi_diff(lo, hi)
+    out = _normal_slabs(np.stack([lo.ravel(), hi.ravel()], axis=1)).reshape(m_arr.shape)
     return float(out) if np.isscalar(m) else out
 
 
@@ -286,19 +301,7 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
             mu = (coeffs.correlation * nodes / coeffs.sigma_conditional).reshape(len(nodes), -1)
             # Past its band a row repeats its last edge, so its slabs there are 0.
             band = edges[np.minimum(s[blk, None] + cols, last[blk, None])]
-            z = band[:, :, None] - mu[:, None, :]
-            # One Phi per edge: h = sign(z) Phi(-|z|), so Phi(z) = [z >= 0] - h
-            # with both tails kept to full relative precision.
-            h = np.abs(z)
-            np.negative(h, out=h)
-            special.ndtr(h, out=h)
-            np.copysign(h, z, out=h)
-            slabs = h[:, :-1] - h[:, 1:]
-            # The slab holding mu, where z changes sign, also gains the unit
-            # step of [z >= 0].
-            step_up = z >= 0.0
-            slabs += step_up[:, 1:] > step_up[:, :-1]
-            np.maximum(slabs, 0.0, out=slabs)
+            slabs = _normal_slabs(band[:, :, None] - mu[:, None, :])
             # einsum sums up to np.getbufsize() nodes in one pass, but splits
             # longer sums in a way that depends on the block's shape; fixed
             # chunks of that length keep every cell independent of its block.

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import AngleGeometry
+from .bell import AngleGeometry, _chained
+from .entropy import EntropyTerms
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
 # Shots are generated in fixed-size blocks with one counter-based stream
@@ -121,15 +122,7 @@ def plugin_entropies(counts: np.ndarray, miller_madow: bool = True
 
 def _d_from_tables(tables, miller_madow: bool) -> float:
     """Chained combination from the four setting-pair count tables."""
-    s1 = plugin_entropies(tables[0], miller_madow)
-    s2 = plugin_entropies(tables[1], miller_madow)
-    s3 = plugin_entropies(tables[2], miller_madow)
-    s4 = plugin_entropies(tables[3], miller_madow)
-    t1 = s1[0] - s1[2]   # S(A|B') from the (A, B') table
-    t2 = s2[0] - s2[1]   # S(B'|A') from the (A', B') table
-    t3 = s3[0] - s3[2]   # S(A'|B)
-    t4 = s4[0] - s4[2]   # S(A|B)
-    return t1 + t2 + t3 - t4
+    return _chained(tuple(EntropyTerms(*plugin_entropies(t, miller_madow)) for t in tables))
 
 
 def _resample(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -78,7 +78,6 @@ class JointGaussianCoefficients:
 
     v: float
     w: float
-    abs_one_minus_t2: float
     norm_z: float
     r: float
     phi_sum: float
@@ -140,7 +139,7 @@ def coefficients(state: TmsvParams, settings: PhaseSettings) -> JointGaussianCoe
     v_plus_w = one_minus_th2 * q_plus / abs2
     norm_z = math.pi * math.sqrt(abs2) * math.cosh(r) ** 2
     return JointGaussianCoefficients(
-        v=v, w=w, abs_one_minus_t2=math.sqrt(abs2), norm_z=norm_z,
+        v=v, w=w, norm_z=norm_z,
         r=r, phi_sum=phi, v_minus_w=v_minus_w, v_plus_w=v_plus_w,
     )
 
@@ -176,6 +175,15 @@ def differential_entropies(state: TmsvParams, settings: PhaseSettings) -> tuple[
     return s_joint, s_marginal, s_joint - s_marginal
 
 
+def _hermite_stream(n_max: int, x: np.ndarray):
+    """Yield psi_0(x), ..., psi_n_max(x) by the recurrence, keeping only the last two."""
+    prev, cur = np.zeros_like(x), math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield cur
+    for n in range(n_max):
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * x * cur - math.sqrt(n / (n + 1)) * prev
+        yield cur
+
+
 def hermite_functions(n_max: int, x) -> np.ndarray:
     """Orthonormal Hermite functions psi_0..psi_n_max evaluated at x.
 
@@ -189,14 +197,7 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape, dtype=float)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1)) * out[n - 1]
-    return out
+    return np.array(list(_hermite_stream(n_max, np.asarray(x, dtype=float))))
 
 
 def fock_amplitude(state: TmsvParams, theta: float, phi: float, a, b,
@@ -226,22 +227,12 @@ def fock_amplitude(state: TmsvParams, theta: float, phi: float, a, b,
     th = math.tanh(r)
     phase = np.exp(-1j * (theta + phi))
 
-    pa_prev = math.pi ** -0.25 * np.exp(-0.5 * a * a)
-    pb_prev = math.pi ** -0.25 * np.exp(-0.5 * b * b)
-    total = pa_prev * pb_prev + 0j
+    psi_a, psi_b = _hermite_stream(n_max, a), _hermite_stream(n_max, b)
+    total = next(psi_a) * next(psi_b) + 0j
     peak = np.abs(total)
     last = np.zeros_like(peak)
-    pa, pb = pa_prev, pb_prev
     coef = 1.0 + 0j
-    for n in range(1, n_max + 1):
-        if n == 1:
-            pa, pa_prev = math.sqrt(2.0) * a * pa_prev, pa
-            pb, pb_prev = math.sqrt(2.0) * b * pb_prev, pb
-        else:
-            c1 = math.sqrt(2.0 / n)
-            c2 = math.sqrt((n - 1.0) / n)
-            pa, pa_prev = c1 * a * pa - c2 * pa_prev, pa
-            pb, pb_prev = c1 * b * pb - c2 * pb_prev, pb
+    for pa, pb in zip(psi_a, psi_b):
         coef = coef * (th * phase)
         term = coef * (pa * pb)
         total = total + term

@@ -5,12 +5,15 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from entrobell.cli import main
 from entrobell.coarse_grain import binned_joint
 from entrobell.gaussian_core import TmsvParams
-from entrobell.bell import AngleGeometry, d_qm_value, evaluate
+from entrobell.bell import (
+    SCAN_CSV_HEADER, AngleGeometry, d_qm_value, evaluate, scan, scan_zero_delta,
+)
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -282,6 +285,20 @@ def test_figure_fig1_csv(tmp_path):
     assert len(lines) == 1 + 3 * 5
 
 
+def test_figure_fig1_csv_is_the_panels_scan_csv(tmp_path):
+    # one header, then the rows that each panel's ScanResult.to_csv writes
+    out = tmp_path / "fig1.csv"
+    assert main(["figure", "fig1", "--Delta", "4", "8", "--r-range", "0", "1",
+                 "--r-points", "3", "--delta-points", "5", "--format", "csv",
+                 "--output", str(out)]) == 0
+    expected = SCAN_CSV_HEADER + "\n"
+    for delta_bin in (4.0, 8.0):
+        buf = io.StringIO()
+        scan(np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 5), delta_bin).to_csv(buf)
+        expected += buf.getvalue().split("\n", 1)[1]
+    assert out.read_text() == expected
+
+
 def test_figure_fig1_json_panels(tmp_path):
     payload = run_json(["figure", "fig1", "--Delta", "4", "8", "--r-range",
                         "0", "1", "--r-points", "2", "--delta-points", "3"],
@@ -304,6 +321,16 @@ def test_figure_fig2_nonnegative(tmp_path):
         _, delta, _, d = row.split(",")
         assert delta == "0"
         assert float(d) >= -1e-12
+
+
+def test_figure_fig2_is_the_zero_offset_scan_csv(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert main(["figure", "fig2", "--r-range", "0", "1", "--r-points", "3",
+                 "--Delta-range", "2", "8", "--Delta-points", "4",
+                 "--output", str(out)]) == 0
+    buf = io.StringIO()
+    scan_zero_delta(np.linspace(0.0, 1.0, 3), np.linspace(2.0, 8.0, 4)).to_csv(buf)
+    assert out.read_text() == buf.getvalue()
 
 
 def test_version_flag(capsys):

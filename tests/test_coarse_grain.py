@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -89,6 +90,22 @@ def test_bin_prob_1d_frozen():
     # marginal variance 1/2 at r=0, so the centre window is erf(0.5)
     assert bin_prob_1d(state, grid, 0) == pytest.approx(
         0.5204998778130465, rel=1e-14)
+
+
+@pytest.mark.parametrize("r, delta", [(0.0, 0.8), (0.3, 6.0), (1.3, 0.05), (1.3, 1.0),
+                                      (3.0, 1.0), (3.0, 20.0)])
+def test_bin_prob_1d_outermost_windows_match_mpmath(r, delta):
+    # both tails keep full relative precision; a naive Phi(hi) - Phi(lo)
+    # cancels in the upper window
+    state = TmsvParams(r)
+    grid = make_grid(state, delta)
+    sigma = state.marginal_sigma
+    for m in (-grid.l_max, grid.l_max):
+        lo = (m * delta - 0.5 * delta) / sigma
+        hi = (m * delta + 0.5 * delta) / sigma
+        with mp.workdps(50):
+            exact = float(mp.ncdf(mp.mpf(hi)) - mp.ncdf(mp.mpf(lo)))
+        assert bin_prob_1d(state, grid, m) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_bin_prob_1d_whole_line():

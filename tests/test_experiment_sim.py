@@ -134,6 +134,13 @@ def test_empirical_estimate_near_analytic():
     assert abs(est - HEADLINE_D) < 4.0 * se
 
 
+def test_empirical_estimate_frozen():
+    # bitwise: seeded sampling, binning and the chained combination of the
+    # plug-in entropies
+    assert empirical_d_qm(TmsvParams(1.0), AngleGeometry(0.6), 2.0, 2000, seed=7,
+                          n_bootstrap=20) == (0.8485466460655242, 0.029782423212195683)
+
+
 def test_empirical_requires_enough_shots():
     with pytest.raises(ValueError):
         empirical_d_qm(TmsvParams(1.0), AngleGeometry(0.5), 1.0,

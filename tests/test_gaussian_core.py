@@ -193,6 +193,22 @@ def test_fock_oracle_equivalence_float_regime():
             assert rel.max() < 1e-8
 
 
+@pytest.mark.parametrize("r, phs, n_max", [(0.5, 0.1, 400), (2.0, math.pi / 2, 2000)])
+def test_fock_amplitude_is_the_hermite_functions_sum(r, phs, n_max):
+    # one recurrence: the Fock sum is bitwise the sequential sum built from
+    # hermite_functions
+    xs = np.linspace(-4.0, 4.0, 10)
+    aa, bb = np.meshgrid(xs, xs)
+    psi_a, psi_b = hermite_functions(n_max, aa), hermite_functions(n_max, bb)
+    step = math.tanh(r) * np.exp(-1j * phs)
+    coef, total = 1.0 + 0j, psi_a[0] * psi_b[0] + 0j
+    for n in range(1, n_max + 1):
+        coef = coef * step
+        total = total + coef * (psi_a[n] * psi_b[n])
+    amp = fock_amplitude(TmsvParams(r), 0.0, phs, aa, bb, n_max=n_max)
+    assert np.array_equal(amp, total / math.cosh(r))
+
+
 def test_fock_depends_on_phase_sum_only():
     state = TmsvParams(0.9)
     one = fock_amplitude(state, 0.2, 0.5, 1.1, -0.4)
