@@ -44,8 +44,7 @@ def main(argv=None) -> int:
     else:
         boxes = DEFAULT_BOXES
 
-    opts = MinimizeOptions(r_points=args.coarse_points,
-                           delta_points=args.coarse_points,
+    opts = MinimizeOptions(coarse_points=args.coarse_points,
                            refine_starts=args.refine_starts)
     fh = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:

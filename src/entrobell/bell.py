@@ -319,18 +319,19 @@ def scan_zero_delta(state_values, delta_bin_values,
 class MinimizeOptions:
     """Multi-start simplex search configuration.
 
-    The coarse stage samples a regular (r, delta) grid plus extra
-    log-spaced delta columns accumulating at the lower delta bound, because
-    the landscape develops very sharp minima at small offsets for large r.
+    The coarse stage samples ``coarse_points`` values of r and of delta, plus
+    16 log-spaced delta columns accumulating at the lower delta bound, where
+    the landscape develops very sharp minima for large r.  Nelder-Mead then
+    refines from the ``refine_starts`` best coarse points.
     """
 
-    r_points: int = 48
-    delta_points: int = 48
-    log_delta_points: int = 16
+    coarse_points: int = 48
     refine_starts: int = 8
-    xatol: float = 1e-4
-    fatol: float = 1e-5
-    max_refine_iter: int = 400
+
+    def __post_init__(self):
+        if self.coarse_points < 1 or self.refine_starts < 0:
+            raise ValueError("need coarse_points >= 1 and refine_starts >= 0, got "
+                             f"{self.coarse_points} and {self.refine_starts}")
 
 
 @dataclass(frozen=True)
@@ -363,10 +364,10 @@ class MinimizationResult:
         }
 
 
-def _coarse_deltas(lo: float, hi: float, opts: MinimizeOptions) -> np.ndarray:
-    linear = np.linspace(lo, hi, opts.delta_points)
-    if opts.log_delta_points > 0 and hi > lo:
-        log_part = lo + (hi - lo) * np.geomspace(1e-5, 0.2, opts.log_delta_points)
+def _coarse_deltas(lo: float, hi: float, n: int) -> np.ndarray:
+    linear = np.linspace(lo, hi, n)
+    if hi > lo:
+        log_part = lo + (hi - lo) * np.geomspace(1e-5, 0.2, 16)
         return np.unique(np.concatenate([linear, log_part]))
     return linear
 
@@ -385,8 +386,8 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     if not (r_hi >= r_lo >= 0.0) or not (d_hi >= d_lo):
         raise ValueError("bounds must be ordered and squeezing non-negative")
 
-    r_grid = np.linspace(r_lo, r_hi, options.r_points)
-    d_grid = _coarse_deltas(d_lo, d_hi, options)
+    r_grid = np.linspace(r_lo, r_hi, options.coarse_points)
+    d_grid = _coarse_deltas(d_lo, d_hi, options.coarse_points)
     jobs = [(r, d) for r in r_grid for d in d_grid]
 
     flat = np.array([d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon) for r, d in jobs])
@@ -410,10 +411,7 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
         res = optimize.minimize(
             objective, x0, method="Nelder-Mead",
             bounds=[(r_lo, r_hi), (d_lo, d_hi)],
-            options={
-                "xatol": options.xatol, "fatol": options.fatol,
-                "maxiter": options.max_refine_iter, "disp": False,
-            },
+            options={"xatol": 1e-4, "fatol": 1e-5, "maxiter": 400, "disp": False},
         )
         n_evals += res.nfev
         converged = converged or bool(res.success)

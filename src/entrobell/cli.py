@@ -41,8 +41,6 @@ from .validation import run_checks
 _NUMERIC_ERRORS = (GridTooLarge, QuadratureBudgetExceeded, TruncationNotConverged,
                    InvalidDistribution)
 
-_FIG1_DELTAS = (1.5, 3.5, 6.0)
-
 
 @contextmanager
 def _sink(path: str | None):
@@ -69,11 +67,12 @@ def _resolve_delta(args, parser) -> float:
     raise AssertionError("unreachable")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tail-epsilon", type=float, default=DEFAULT_TAIL_EPSILON,
-                        help="guaranteed uncaptured probability (default 1e-12)")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format (default: pretty text)")
+def _add_common(parser, formats: tuple[str, ...], tail_epsilon: bool = True) -> None:
+    if tail_epsilon:
+        parser.add_argument("--tail-epsilon", type=float, default=DEFAULT_TAIL_EPSILON,
+                            help="guaranteed uncaptured probability (default 1e-12)")
+    parser.add_argument("--format", choices=formats, default=formats[0],
+                        help=f"output format (default: {formats[0]})")
     parser.add_argument("--output", default=None,
                         help="write the payload here instead of standard output")
     parser.add_argument("--config", default=None,
@@ -102,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also report the mutual-information margin")
     p_eval.add_argument("--dump-dist", default=None, metavar="PREFIX",
                         help="dump the four binned joints to PREFIX.<pair>.csv")
-    _add_common(p_eval)
+    _add_common(p_eval, ("text", "json", "csv"))
 
     p_scan = sub.add_parser("scan", help="dense d_qm grid at fixed bin width")
     p_scan.add_argument("--Delta", type=float, default=None, dest="delta_bin")
@@ -112,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--delta-range", type=float, nargs=2, default=(0.0, math.pi),
                         metavar=("LO", "HI"))
     p_scan.add_argument("--delta-points", type=int, default=65)
-    _add_common(p_scan)
+    _add_common(p_scan, ("text", "json", "csv"))
 
     p_min = sub.add_parser("minimize", help="search the (r, delta) box for the minimum")
     p_min.add_argument("--Delta", type=float, default=None, dest="delta_bin")
@@ -123,14 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--coarse-points", type=int, default=48,
                        help="coarse grid points per axis")
     p_min.add_argument("--refine-starts", type=int, default=8)
-    _add_common(p_min)
+    _add_common(p_min, ("text", "json"))
 
     p_val = sub.add_parser("validate", help="run the self-check suite")
     p_val.add_argument("--quick", action="store_true",
                        help="trimmed suite, finishes in seconds")
     p_val.add_argument("--perturb-norm", type=float, default=0.0,
                        help="fault-injection offset for the normalization check")
-    _add_common(p_val)
+    _add_common(p_val, ("text", "json"), tail_epsilon=False)
 
     p_sam = sub.add_parser("sample", help="finite-shot simulation")
     p_sam.add_argument("--r", type=float, default=None)
@@ -146,28 +145,34 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable the entropy bias correction")
     p_sam.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP,
                        help="bootstrap resamples for the error bar")
-    _add_common(p_sam)
+    _add_common(p_sam, ("text", "json"), tail_epsilon=False)
 
     p_fig = sub.add_parser("figure", help="emit a canned dataset")
-    p_fig.add_argument("name", choices=("fig1", "fig2"))
-    p_fig.add_argument("--Delta", type=float, nargs="*", default=None, dest="delta_bins",
-                       help="bin widths for fig1 (default: 1.5 3.5 6)")
-    p_fig.add_argument("--r-range", type=float, nargs=2, default=None,
-                       metavar=("LO", "HI"))
-    p_fig.add_argument("--r-points", type=int, default=None)
-    p_fig.add_argument("--delta-points", type=int, default=65,
-                       help="fig1 angle-offset points over [0, pi]")
-    p_fig.add_argument("--Delta-range", type=float, nargs=2, default=(0.5, 30.0),
-                       dest="delta_bin_range", metavar=("LO", "HI"),
-                       help="fig2 bin-width axis")
-    p_fig.add_argument("--Delta-points", type=int, default=30, dest="delta_bin_points")
-    _add_common(p_fig)
+    # the figure name overwrites "figure" as args.command: dispatch and --config see the leaf
+    figures = p_fig.add_subparsers(dest="command", required=True)
+    p_fig1 = figures.add_parser("fig1", help="d_qm over (r, delta), one panel per bin width")
+    p_fig1.add_argument("--Delta", type=float, nargs="+", default=(1.5, 3.5, 6.0),
+                        dest="delta_bins", help="bin widths (default: 1.5 3.5 6)")
+    p_fig1.add_argument("--r-range", type=float, nargs=2, default=(0.0, 2.0),
+                        metavar=("LO", "HI"))
+    p_fig1.add_argument("--r-points", type=int, default=41)
+    p_fig1.add_argument("--delta-points", type=int, default=65,
+                        help="angle-offset points over [0, pi]")
+    _add_common(p_fig1, ("csv", "json"))
+    p_fig2 = figures.add_parser("fig2", help="2 S(0) at delta = 0 over (r, Delta)")
+    p_fig2.add_argument("--r-range", type=float, nargs=2, default=(0.0, 3.0),
+                        metavar=("LO", "HI"))
+    p_fig2.add_argument("--r-points", type=int, default=31)
+    p_fig2.add_argument("--Delta-range", type=float, nargs=2, default=(0.5, 30.0),
+                        dest="delta_bin_range", metavar=("LO", "HI"))
+    p_fig2.add_argument("--Delta-points", type=int, default=30, dest="delta_bin_points")
+    _add_common(p_fig2, ("csv", "json"))
 
     # Subcommands parse into a fresh namespace, so defaults injected by
-    # --config must be set on the subparser, not just the root parser.
+    # --config must be set on the leaf parser, not just the root parser.
     parser.subparser_map = {
         "eval": p_eval, "scan": p_scan, "minimize": p_min,
-        "validate": p_val, "sample": p_sam, "figure": p_fig,
+        "validate": p_val, "sample": p_sam, "fig1": p_fig1, "fig2": p_fig2,
     }
     return parser
 
@@ -280,13 +285,9 @@ def _cmd_minimize(args, parser) -> int:
     d_lo, d_hi = args.delta_range
     if r_hi < r_lo or d_hi < d_lo or r_lo < 0:
         parser.error("minimize bounds must be ordered with r >= 0")
-    opts = MinimizeOptions(
-        r_points=args.coarse_points, delta_points=args.coarse_points,
-        refine_starts=args.refine_starts,
-    )
-    res = minimize((r_lo, r_hi), (d_lo, d_hi), args.delta_bin,
-                   args.tail_epsilon, options=opts)
-    if args.format in ("json", "csv"):
+    res = minimize((r_lo, r_hi), (d_lo, d_hi), args.delta_bin, args.tail_epsilon,
+                   options=MinimizeOptions(args.coarse_points, args.refine_starts))
+    if args.format == "json":
         _emit_json(res.to_dict(), args)
     else:
         with _sink(args.output) as fh:
@@ -361,31 +362,31 @@ def _cmd_sample(args, parser) -> int:
     return 0
 
 
-def _cmd_figure(args, parser) -> int:
-    if args.name == "fig1":
-        delta_bins = args.delta_bins if args.delta_bins else list(_FIG1_DELTAS)
-        r_lo, r_hi = args.r_range if args.r_range else (0.0, 2.0)
-        r_points = args.r_points if args.r_points else 41
-        r_values = np.linspace(r_lo, r_hi, r_points)
-        d_values = np.linspace(0.0, math.pi, args.delta_points)
-        results = [scan(r_values, d_values, db, args.tail_epsilon)
-                   for db in delta_bins]
-        if args.format == "json":
-            _emit_json({
-                "version": __version__,
-                "kind": "fig1",
-                "panels": [res.to_dict() for res in results],
-            }, args)
-        else:
-            with _sink(args.output) as fh:
-                _write_scan_csv(fh, (row for res in results for row in res._csv_rows()))
-        return 0
+def _cmd_fig1(args, parser) -> int:
+    if args.r_points < 1 or args.delta_points < 1:
+        parser.error("figure point counts must be positive")
+    r_lo, r_hi = args.r_range
+    r_values = np.linspace(r_lo, r_hi, args.r_points)
+    d_values = np.linspace(0.0, math.pi, args.delta_points)
+    results = [scan(r_values, d_values, db, args.tail_epsilon) for db in args.delta_bins]
+    if args.format == "json":
+        _emit_json({
+            "version": __version__,
+            "kind": "fig1",
+            "panels": [res.to_dict() for res in results],
+        }, args)
+    else:
+        with _sink(args.output) as fh:
+            _write_scan_csv(fh, (row for res in results for row in res._csv_rows()))
+    return 0
 
-    r_lo, r_hi = args.r_range if args.r_range else (0.0, 3.0)
-    r_points = args.r_points if args.r_points else 31
-    db_lo, db_hi = args.delta_bin_range
+
+def _cmd_fig2(args, parser) -> int:
+    if args.r_points < 1 or args.delta_bin_points < 1:
+        parser.error("figure point counts must be positive")
+    (r_lo, r_hi), (db_lo, db_hi) = args.r_range, args.delta_bin_range
     res = scan_zero_delta(
-        np.linspace(r_lo, r_hi, r_points),
+        np.linspace(r_lo, r_hi, args.r_points),
         np.linspace(db_lo, db_hi, args.delta_bin_points),
         args.tail_epsilon,
     )
@@ -403,7 +404,8 @@ _DISPATCH = {
     "minimize": _cmd_minimize,
     "validate": _cmd_validate,
     "sample": _cmd_sample,
-    "figure": _cmd_figure,
+    "fig1": _cmd_fig1,
+    "fig2": _cmd_fig2,
 }
 
 

@@ -150,8 +150,8 @@ def empirical_d_qm(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
     independent stream.  The error bar is the standard deviation of the
     estimate over multinomial resamples of the four contingency tables.
     """
-    if n_per_setting < 10 ** 3:
-        raise ValueError("need at least 1000 shots per setting")
+    if n_per_setting < 10 ** 3 or n_bootstrap < 2:
+        raise ValueError("need at least 1000 shots per setting and 2 bootstrap resamples")
     sums = geometry.pair_sums()
     tables = [
         bin_counts(sample_pairs(state, phs, n_per_setting, seed, setting_index=i),

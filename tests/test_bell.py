@@ -26,6 +26,7 @@ from entrobell import (
     s_qm,
     scan,
     scan_zero_delta,
+    __version__,
     write_json,
 )
 
@@ -207,9 +208,30 @@ def test_minimize_validation():
         minimize((-0.5, 1.0), (0.0, math.pi), 1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"coarse_points": 0}, {"coarse_points": -2}, {"refine_starts": -1},
+])
+def test_minimize_options_reject_empty_or_negative_counts(kwargs):
+    with pytest.raises(ValueError, match="coarse_points >= 1 and refine_starts >= 0"):
+        MinimizeOptions(**kwargs)
+
+
+def test_minimize_frozen():
+    # bitwise, recorded when the grid size, the 16 log-spaced delta columns and
+    # the simplex tolerances and iteration cap were still option fields
+    res = minimize((0.0, 2.0), (0.0, math.pi), 6,
+                   options=MinimizeOptions(coarse_points=6, refine_starts=2))
+    assert res.to_dict() == {
+        "version": __version__, "method": "panel-quadrature", "tail_epsilon": 1e-12,
+        "kind": "minimize", "r_star": 0.0, "delta_star": 0.0, "delta_star_over_pi": 0.0,
+        "d_min": 0.0005484407326320658, "Delta": 6, "converged": True,
+        "n_evaluations": 144, "coarse_d_min": 0.0005484407326320658,
+        "r_bounds": [0.0, 2.0], "delta_bounds": [0.0, 3.141592653589793],
+    }
+
+
 def test_minimize_soundness():
-    opts = MinimizeOptions(r_points=10, delta_points=10, log_delta_points=4,
-                           refine_starts=2, max_refine_iter=120)
+    opts = MinimizeOptions(coarse_points=10, refine_starts=2)
     res = minimize((0.0, 1.2), (0.0, math.pi), 1.0, options=opts)
     assert res.d_min <= res.coarse_d_min + 1e-12
     assert res.r_bounds[0] <= res.r_star <= res.r_bounds[1]

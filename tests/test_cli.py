@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrobell.cli import main
+from entrobell.cli import _build_parser, main
 from entrobell.coarse_grain import binned_joint
 from entrobell.gaussian_core import TmsvParams
 from entrobell.bell import (
@@ -338,3 +338,112 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "entrobell" in capsys.readouterr().out
+
+
+# -- the settable surface: every flag and format a subcommand offers acts ----------
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SAMPLE_ARGV = ["sample", "--r", "0.5", "--n", "1000", "--delta", "0.9", "--Delta", "1.5",
+               "--bootstrap", "5"]
+
+# each subcommand's formats, the default first
+SURFACE = [
+    (["eval", "--r", "1", "--delta", "0.6", "--Delta", "2"], ("text", "json", "csv")),
+    (["scan", "--Delta", "2", "--r-range", "0", "1", "--r-points", "2",
+      "--delta-points", "2"], ("text", "json", "csv")),
+    (["minimize", "--Delta", "6", "--r-range", "1.7", "1.9", "--delta-range", "0.55", "0.75",
+      "--coarse-points", "3", "--refine-starts", "1"], ("text", "json")),
+    (SAMPLE_ARGV, ("text", "json")),
+    (["validate", "--quick"], ("text", "json")),
+    (["figure", "fig1", "--Delta", "4", "--r-range", "0", "1", "--r-points", "2",
+      "--delta-points", "2"], ("csv", "json")),
+    (["figure", "fig2", "--r-range", "0", "1", "--r-points", "2", "--Delta-range", "2", "8",
+      "--Delta-points", "2"], ("csv", "json")),
+]
+
+
+def _leaf(argv):
+    return argv[1] if argv[0] == "figure" else argv[0]
+
+
+def test_surface_covers_every_subcommand():
+    assert {_leaf(argv) for argv, _ in SURFACE} == set(_build_parser().subparser_map)
+
+
+@pytest.mark.parametrize("argv,formats", SURFACE, ids=[_leaf(a) for a, _ in SURFACE])
+def test_each_offered_format_writes_its_own_output(argv, formats, tmp_path):
+    leaf = _build_parser().subparser_map[_leaf(argv)]
+    (action,) = [a for a in leaf._actions if "--format" in a.option_strings]
+    assert tuple(action.choices) == formats
+    assert action.default == formats[0]
+    written = {}
+    for fmt in formats:
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+        written[fmt] = out.read_bytes()
+    assert len(set(written.values())) == len(formats)
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--Delta", "6", "--format", "csv"],
+    SAMPLE_ARGV + ["--format", "csv"],
+    ["validate", "--quick", "--format", "csv"],
+    ["figure", "fig1", "--format", "text"],
+    ["figure", "fig2", "--format", "text"],
+    SAMPLE_ARGV + ["--tail-epsilon", "1e-10"],
+    ["validate", "--quick", "--tail-epsilon", "1e-10"],
+    ["figure", "fig2", "--Delta", "4"],
+    ["figure", "fig1", "--Delta-range", "2", "8"],
+    ["figure", "fig1", "--Delta"],
+    ["figure"],
+])
+def test_unsupported_flag_or_format_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("figure,cfg,rows", [
+    ("fig1", {"r_points": 2, "delta_points": 3, "delta_bins": [4.0]}, 2 * 3),
+    ("fig2", {"r_points": 2, "delta_bin_points": 3, "delta_bin_range": [2.0, 8.0]}, 2 * 3),
+])
+def test_config_sets_figure_leaf_flags(figure, cfg, rows, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fig.csv"
+    assert main(["figure", figure, "--config", str(path), "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "r,delta,Delta,d_qm"
+    assert len(lines) == 1 + rows
+    # a key of the other figure is not a flag of this one
+    path.write_text(json.dumps({"delta_bin_points": 3} if figure == "fig1"
+                               else {"delta_points": 3}))
+    assert exit_code(["figure", figure, "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig1", "--r-points", "0"],
+    ["figure", "fig1", "--delta-points", "0"],
+    ["figure", "fig2", "--r-points", "0"],
+    ["figure", "fig2", "--Delta-points", "0"],
+])
+def test_figure_point_counts_must_be_positive(argv, capsys):
+    assert exit_code(argv) == 2
+    assert "point counts must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--Delta", "6", "--coarse-points", "4", "--refine-starts", "-1"],
+    ["minimize", "--Delta", "6", "--coarse-points", "0"],
+    SAMPLE_ARGV[:-1] + ["1"],
+    SAMPLE_ARGV[:-1] + ["0"],
+])
+def test_empty_or_negative_counts_exit_2(argv, capsys):
+    assert exit_code(argv) == 2
+    assert "invalid arguments" in capsys.readouterr().err

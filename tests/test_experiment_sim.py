@@ -147,6 +147,14 @@ def test_empirical_requires_enough_shots():
                        n_per_setting=500, seed=1)
 
 
+@pytest.mark.parametrize("n_bootstrap", [1, 0, -3])
+def test_empirical_requires_two_bootstrap_resamples(n_bootstrap):
+    # one resample has no spread: the error bar would be NaN
+    with pytest.raises(ValueError, match="bootstrap"):
+        empirical_d_qm(TmsvParams(1.0), AngleGeometry(0.5), 1.0,
+                       n_per_setting=1000, seed=1, n_bootstrap=n_bootstrap)
+
+
 def test_estimator_consistency():
     # estimate error shrinks when shots grow 100x
     state = TmsvParams(1.0)
