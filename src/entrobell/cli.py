@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: eval (single point), scan (dense grid), minimize (bounded
-search), validate (self-check suite), sample (finite-shot runs), figure
-(canned datasets fig1 and fig2).  Exit codes: 0 success, 1 failed
-validation checks, 2 invalid arguments, 3 numeric failure.
+search), validate (self-check suite), sample (finite-shot estimate), shots
+(raw shot dump), figure (canned datasets fig1 and fig2).  Exit codes: 0
+success, 1 failed validation checks, 2 invalid arguments, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ def _emit_json(payload: dict, args) -> None:
         write_json(payload, fh)
 
 
-def _resolve_delta(args, parser) -> float:
-    if args.delta is not None and args.delta_pi is not None:
-        parser.error("give either --delta or --delta-pi, not both")
-    if args.delta is not None:
-        return float(args.delta)
-    if args.delta_pi is not None:
-        return float(args.delta_pi) * math.pi
-    parser.error("one of --delta or --delta-pi is required")
-    raise AssertionError("unreachable")
-
-
 def _add_common(parser, formats: tuple[str, ...], tail_epsilon: bool = True) -> None:
     if tail_epsilon:
         parser.add_argument("--tail-epsilon", type=float, default=DEFAULT_TAIL_EPSILON,
@@ -89,11 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate d_qm at one parameter point")
-    p_eval.add_argument("--r", type=float, default=None, help="squeezing parameter")
-    p_eval.add_argument("--delta", type=float, default=None, help="angle offset, radians")
-    p_eval.add_argument("--delta-pi", type=float, default=None,
-                        help="angle offset in units of pi")
-    p_eval.add_argument("--Delta", type=float, default=None, dest="delta_bin",
+    p_eval.add_argument("--r", type=float, required=True, help="squeezing parameter")
+    offset = p_eval.add_mutually_exclusive_group(required=True)
+    offset.add_argument("--delta", type=float, help="angle offset, radians")
+    offset.add_argument("--delta-pi", type=float, help="angle offset in units of pi")
+    p_eval.add_argument("--Delta", type=float, required=True, dest="delta_bin",
                         help="bin width")
     p_eval.add_argument("--theta", type=float, default=0.0,
                         help="free base angle (result is invariant)")
@@ -104,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval, ("text", "json", "csv"))
 
     p_scan = sub.add_parser("scan", help="dense d_qm grid at fixed bin width")
-    p_scan.add_argument("--Delta", type=float, default=None, dest="delta_bin")
+    p_scan.add_argument("--Delta", type=float, required=True, dest="delta_bin")
     p_scan.add_argument("--r-range", type=float, nargs=2, default=(0.0, 2.0),
                         metavar=("LO", "HI"))
     p_scan.add_argument("--r-points", type=int, default=41)
@@ -114,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_scan, ("text", "json", "csv"))
 
     p_min = sub.add_parser("minimize", help="search the (r, delta) box for the minimum")
-    p_min.add_argument("--Delta", type=float, default=None, dest="delta_bin")
+    p_min.add_argument("--Delta", type=float, required=True, dest="delta_bin")
     p_min.add_argument("--r-range", type=float, nargs=2, default=(0.0, 2.0),
                        metavar=("LO", "HI"))
     p_min.add_argument("--delta-range", type=float, nargs=2, default=(0.0, math.pi),
@@ -131,16 +120,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fault-injection offset for the normalization check")
     _add_common(p_val, ("text", "json"), tail_epsilon=False)
 
-    p_sam = sub.add_parser("sample", help="finite-shot simulation")
-    p_sam.add_argument("--r", type=float, default=None)
-    p_sam.add_argument("--n", type=int, default=None, help="shots per setting")
-    p_sam.add_argument("--seed", type=int, default=0)
-    p_sam.add_argument("--phi-sum", type=float, default=None,
-                       help="dump raw (a, b) shots for this phase sum instead "
-                            "of estimating d_qm")
-    p_sam.add_argument("--delta", type=float, default=None)
-    p_sam.add_argument("--delta-pi", type=float, default=None)
-    p_sam.add_argument("--Delta", type=float, default=None, dest="delta_bin")
+    p_sam = sub.add_parser("sample", help="finite-shot estimate of d_qm")
+    p_shots = sub.add_parser("shots", help="raw (a, b) shots of one setting pair")
+    for p in (p_sam, p_shots):
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--n", type=int, required=True, help="shots per setting")
+        p.add_argument("--seed", type=int, default=0)
+    p_shots.add_argument("--phi-sum", type=float, required=True, help="phase sum of the pair")
+    _add_common(p_shots, ("csv",), tail_epsilon=False)
+    offset = p_sam.add_mutually_exclusive_group(required=True)
+    offset.add_argument("--delta", type=float)
+    offset.add_argument("--delta-pi", type=float)
+    p_sam.add_argument("--Delta", type=float, required=True, dest="delta_bin")
     p_sam.add_argument("--no-miller-madow", action="store_true",
                        help="disable the entropy bias correction")
     p_sam.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP,
@@ -168,51 +159,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--Delta-points", type=int, default=30, dest="delta_bin_points")
     _add_common(p_fig2, ("csv", "json"))
 
-    # Subcommands parse into a fresh namespace, so defaults injected by
-    # --config must be set on the leaf parser, not just the root parser.
+    # the leaf parsers, keyed by the last subcommand word
     parser.subparser_map = {
-        "eval": p_eval, "scan": p_scan, "minimize": p_min,
-        "validate": p_val, "sample": p_sam, "fig1": p_fig1, "fig2": p_fig2,
+        "eval": p_eval, "scan": p_scan, "minimize": p_min, "validate": p_val,
+        "sample": p_sam, "shots": p_shots, "fig1": p_fig1, "fig2": p_fig2,
     }
     return parser
 
 
 def _apply_config(parser, argv):
-    """Two-phase parse: values from --config become defaults, flags win."""
+    """Parse argv with the --config values spliced in as flags ahead of its own.
+
+    A key names a flag of the leaf by its destination; a list value gives
+    several values, and a switch takes true or false.  Flags on the command
+    line come later, so they win.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
-    args = parser.parse_args(argv)
-    if known.config is None:
-        return args
-    with open(known.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    # the subcommand words ("eval", "figure fig1") lead argv
+    n_words = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+    leaf = parser.subparser_map.get(argv[n_words - 1]) if n_words else None
+    if known.config is None or leaf is None:
+        return parser.parse_args(argv)
+    try:
+        with open(known.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {known.config}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config {known.config} must hold a JSON object")
-    unknown = [k for k in cfg if not hasattr(args, k)]
+    # every flag of the leaf but --help
+    flags = {a.dest: a for a in leaf._actions
+             if a.option_strings and a.default is not argparse.SUPPRESS}
+    unknown = [k for k in cfg if k not in flags]
     if unknown:
         parser.error(f"config keys not recognised: {', '.join(sorted(unknown))}")
-    parser.set_defaults(**cfg)
-    parser.subparser_map[args.command].set_defaults(**cfg)
-    return parser.parse_args(argv)
+    tokens = []
+    for key, value in cfg.items():
+        flag = flags[key].option_strings[-1]
+        if value is None or (flags[key].nargs == 0) != isinstance(value, bool):
+            parser.error(f"config value {json.dumps(value)} does not fit {flag}")
+        if isinstance(value, bool):
+            tokens += [flag] if value else []
+        else:
+            tokens += [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
+    return parser.parse_args(argv[:n_words] + tokens + argv[n_words:])
 
 
 _PAIR_TAGS = ("ab_prime", "aprime_bprime", "aprime_b", "ab")
 
 
-_FLAG_OF = {"delta_bin": "--Delta"}
-
-
-def _require(parser, args, *names) -> None:
-    missing = [_FLAG_OF.get(n, f"--{n.replace('_', '-')}")
-               for n in names if getattr(args, n) is None]
-    if missing:
-        parser.error("missing required arguments: " + ", ".join(missing))
-
-
 def _cmd_eval(args, parser) -> int:
-    _require(parser, args, "r", "delta_bin")
-    delta = _resolve_delta(args, parser)
+    delta = args.delta if args.delta_pi is None else args.delta_pi * math.pi
     state = TmsvParams(args.r)
     geometry = AngleGeometry(delta=delta, theta=args.theta)
     if args.dump_dist is None:
@@ -253,7 +252,6 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    _require(parser, args, "delta_bin")
     r_lo, r_hi = args.r_range
     d_lo, d_hi = args.delta_range
     if args.r_points < 1 or args.delta_points < 1 or r_hi < r_lo or d_hi < d_lo:
@@ -280,12 +278,7 @@ def _cmd_scan(args, parser) -> int:
 
 
 def _cmd_minimize(args, parser) -> int:
-    _require(parser, args, "delta_bin")
-    r_lo, r_hi = args.r_range
-    d_lo, d_hi = args.delta_range
-    if r_hi < r_lo or d_hi < d_lo or r_lo < 0:
-        parser.error("minimize bounds must be ordered with r >= 0")
-    res = minimize((r_lo, r_hi), (d_lo, d_hi), args.delta_bin, args.tail_epsilon,
+    res = minimize(args.r_range, args.delta_range, args.delta_bin, args.tail_epsilon,
                    options=MinimizeOptions(args.coarse_points, args.refine_starts))
     if args.format == "json":
         _emit_json(res.to_dict(), args)
@@ -324,20 +317,9 @@ def _cmd_validate(args, parser) -> int:
 
 
 def _cmd_sample(args, parser) -> int:
-    _require(parser, args, "r", "n")
-    if args.n < 1:
-        parser.error("--n must be positive")
-    state = TmsvParams(args.r)
-    if args.phi_sum is not None:
-        batch = sample_pairs(state, args.phi_sum, args.n, args.seed)
-        with _sink(args.output) as fh:
-            batch.to_csv(fh)
-        return 0
-    if args.delta_bin is None:
-        parser.error("--Delta is required when estimating d_qm from shots")
-    delta = _resolve_delta(args, parser)
+    delta = args.delta if args.delta_pi is None else args.delta_pi * math.pi
     estimate, err = empirical_d_qm(
-        state, AngleGeometry(delta=delta), args.delta_bin, args.n, args.seed,
+        TmsvParams(args.r), AngleGeometry(delta=delta), args.delta_bin, args.n, args.seed,
         miller_madow=not args.no_miller_madow, n_bootstrap=args.bootstrap,
     )
     payload = {
@@ -359,6 +341,13 @@ def _cmd_sample(args, parser) -> int:
         with _sink(args.output) as fh:
             fh.write(f"d_qm estimate = {estimate:.6f} +/- {err:.6f} "
                      f"({args.n} shots per setting, seed {args.seed})\n")
+    return 0
+
+
+def _cmd_shots(args, parser) -> int:
+    batch = sample_pairs(TmsvParams(args.r), args.phi_sum, args.n, args.seed)
+    with _sink(args.output) as fh:
+        batch.to_csv(fh)
     return 0
 
 
@@ -404,6 +393,7 @@ _DISPATCH = {
     "minimize": _cmd_minimize,
     "validate": _cmd_validate,
     "sample": _cmd_sample,
+    "shots": _cmd_shots,
     "fig1": _cmd_fig1,
     "fig2": _cmd_fig2,
 }
@@ -419,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"entrobell: invalid arguments: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"entrobell: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -62,7 +62,7 @@ PANEL_QUADRATURE = "panel-quadrature"
 RECTANGLE_CDF = "rectangle-cdf"
 
 DEFAULT_TAIL_EPSILON = 1e-12
-DEFAULT_CELL_BUDGET = 400_000_000
+CELL_BUDGET = 400_000_000
 # Gauss-Legendre order per panel; panels subdivide each window.
 _PANEL_ORDER = 16
 # Panels are at most min(sigma_a, _SLAB_RESOLUTION sigma_c/|rho|)/4 wide, so
@@ -71,7 +71,7 @@ _PANEL_ORDER = 16
 # under-resolve cells at large r and phi_sum near 0.  The bin width Delta
 # does not enter: a window narrower than this scale gets one panel.
 _SLAB_RESOLUTION = 8.0
-_DEFAULT_MAX_PANELS = 100_000
+_MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
 # drops at most 2 Phi(-9) ~ 2e-19 of its mass.
 _MIN_CUT = 9.0
@@ -81,11 +81,11 @@ _BLOCK_ELEMENTS = 1 << 17
 
 
 class GridTooLarge(Exception):
-    """Requested binning needs more cells than the configured budget."""
+    """Requested binning needs more cells than CELL_BUDGET."""
 
 
 class QuadratureBudgetExceeded(Exception):
-    """Panel subdivision of a window exceeds the configured panel cap."""
+    """Panel subdivision of a window exceeds the panel cap _MAX_PANELS."""
 
 
 @dataclass(frozen=True)
@@ -152,27 +152,31 @@ def _coverage_multiple(tail_epsilon: float) -> float:
     return math.sqrt(2.0) * float(special.erfcinv(0.5 * tail_epsilon))
 
 
+def _check_bin_width(delta: float) -> None:
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"bin width must be positive and finite, got {delta}")
+
+
 def make_grid(state: TmsvParams, delta: float,
-              tail_epsilon: float = DEFAULT_TAIL_EPSILON,
-              cell_budget: int = DEFAULT_CELL_BUDGET) -> CoarseGrid:
+              tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> CoarseGrid:
     """Smallest symmetric grid whose per-record tail mass is below tail_epsilon.
 
     The coverage multiple k solves erfc(k/sqrt(2)) < tail_epsilon / 2, i.e.
     each record keeps less than tail_epsilon/2 of two-sided mass outside
     +-k sigma, and l_max is the smallest integer with
-    (l_max + 1/2) delta >= k sigma.
+    (l_max + 1/2) delta >= k sigma.  More than CELL_BUDGET cells raise
+    GridTooLarge.
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"bin width must be positive and finite, got {delta}")
+    _check_bin_width(delta)
     if not (0.0 < tail_epsilon <= 1e-6):
         raise ValueError(f"tail_epsilon must be in (0, 1e-6], got {tail_epsilon}")
     k = _coverage_multiple(tail_epsilon)
     sigma_max = state.marginal_sigma
     l_max = max(0, math.ceil(k * sigma_max / delta - 0.5))
     n = 2 * l_max + 1
-    if n * n > cell_budget:
+    if n * n > CELL_BUDGET:
         raise GridTooLarge(
-            f"grid needs {n}x{n} = {n * n} cells, budget is {cell_budget} "
+            f"grid needs {n}x{n} = {n * n} cells, budget is {CELL_BUDGET} "
             f"(delta={delta}, r={state.r}, tail_epsilon={tail_epsilon})"
         )
     return CoarseGrid(delta=delta, l_max=l_max, tail_epsilon=tail_epsilon)
@@ -214,16 +218,16 @@ def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D
     )
 
 
-def _panel_count(delta: float, coeffs: JointGaussianCoefficients, max_panels: int) -> int:
-    """Gauss-Legendre panels per window, checked against the cap on the full window."""
+def _panel_count(delta: float, coeffs: JointGaussianCoefficients) -> int:
+    """Gauss-Legendre panels per window, checked against _MAX_PANELS on the full window."""
     scale = coeffs.sigma_marginal
     rho = abs(coeffs.correlation)
     if rho > 0.0:
         scale = min(scale, _SLAB_RESOLUTION * coeffs.sigma_conditional / rho)
     n_panels = int(math.ceil(4.0 * delta / scale))
-    if n_panels > max_panels:
+    if n_panels > _MAX_PANELS:
         raise QuadratureBudgetExceeded(
-            f"window needs {n_panels} panels, cap is {max_panels} "
+            f"window needs {n_panels} panels, cap is {_MAX_PANELS} "
             f"(delta={delta}, r={coeffs.r}, phi_sum={coeffs.phi_sum})"
         )
     return n_panels
@@ -240,7 +244,7 @@ def _wedge(l: int, m: int) -> tuple[int, int]:
 
 
 def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: CoarseGrid,
-                windows, max_panels: int) -> np.ndarray:
+                windows) -> np.ndarray:
     """Wedge rows of the a-windows `windows` (each l <= 0), one row each.
 
     Row l holds the panel-quadrature cell probabilities of the columns
@@ -257,7 +261,7 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
     not depend on the grouping or the block size.
     """
     delta, lmax = grid.delta, grid.l_max
-    n_panels = _panel_count(delta, coeffs, max_panels)
+    n_panels = _panel_count(delta, coeffs)
     cut = max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
     a_cut = cut * state.marginal_sigma
     edges = grid.edges() / coeffs.sigma_conditional
@@ -314,15 +318,13 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
 
 def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
                  tail_epsilon: float = DEFAULT_TAIL_EPSILON,
-                 method: str = PANEL_QUADRATURE,
-                 cell_budget: int = DEFAULT_CELL_BUDGET,
-                 max_panels: int = _DEFAULT_MAX_PANELS) -> BinnedDistribution2D:
+                 method: str = PANEL_QUADRATURE) -> BinnedDistribution2D:
     """Full matrix of 2D window probabilities for the joint homodyne law."""
-    grid = make_grid(state, delta, tail_epsilon, cell_budget)
+    grid = make_grid(state, delta, tail_epsilon)
     coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
     if method == PANEL_QUADRATURE:
         lmax = grid.l_max
-        wedge = _panel_rows(state, coeffs, grid, np.arange(-lmax, 1), max_panels)
+        wedge = _panel_rows(state, coeffs, grid, np.arange(-lmax, 1))
         # Each wedge entry stands for its orbit under (l, m) -> (m, l) and
         # (l, m) -> (-l, -m): 1 cell at the centre, 2 on m = +-l, 4 elsewhere.
         # Scaling by 2 or 4 is exact, so the correctly rounded fsum equals
@@ -351,15 +353,14 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
 
 
 def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: int,
-                method: str = PANEL_QUADRATURE,
-                max_panels: int = _DEFAULT_MAX_PANELS) -> float:
+                method: str = PANEL_QUADRATURE) -> float:
     """Probability that record a falls in window l and record b in window m."""
     if abs(l) > grid.l_max or abs(m) > grid.l_max:
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     delta = grid.delta
     if method == PANEL_QUADRATURE:
         a, b = _wedge(l, m)
-        row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [a], max_panels)
+        row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [a])
         return float(row[0, b + grid.l_max])
     if method == RECTANGLE_CDF:
         sigma = coeffs.sigma_marginal

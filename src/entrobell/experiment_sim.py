@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import AngleGeometry, _chained
+from .coarse_grain import _check_bin_width
 from .entropy import EntropyTerms
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
@@ -89,8 +90,7 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
     the analytic pipeline; the table spans the smallest index box holding
     every shot.
     """
-    if delta_bin <= 0.0:
-        raise ValueError("bin width must be positive")
+    _check_bin_width(delta_bin)
     idx = np.rint(batch.pairs / delta_bin).astype(np.int64)
     lo = idx.min(axis=0)
     span = idx.max(axis=0) - lo + 1

@@ -61,6 +61,10 @@ class PhaseSettings:
     theta: float
     phi: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"phases must be finite, got theta={self.theta}, phi={self.phi}")
+
     @property
     def phi_sum(self) -> float:
         return self.theta + self.phi

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from entrobell.cli import _build_parser, main
+from entrobell.cli import _apply_config, _build_parser, main
 from entrobell.coarse_grain import binned_joint
+from entrobell.experiment_sim import sample_pairs
 from entrobell.gaussian_core import TmsvParams
 from entrobell.bell import (
     SCAN_CSV_HEADER, AngleGeometry, d_qm_value, evaluate, scan, scan_zero_delta,
@@ -224,12 +225,15 @@ def test_validate_perturbed_norm_fails(tmp_path, capsys):
 
 def test_sample_shot_dump(tmp_path):
     out = tmp_path / "shots.csv"
-    code = main(["sample", "--r", "0.5", "--n", "1500", "--phi-sum", "0.3",
+    code = main(["shots", "--r", "0.5", "--n", "1500", "--phi-sum", "0.3",
                  "--output", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "a,b"
     assert len(lines) == 1501
+    buf = io.StringIO()
+    sample_pairs(TmsvParams(0.5), 0.3, 1500, 0).to_csv(buf)
+    assert out.read_text() == buf.getvalue()
 
 
 def test_sample_estimate_deterministic(tmp_path):
@@ -360,6 +364,7 @@ SURFACE = [
     (["minimize", "--Delta", "6", "--r-range", "1.7", "1.9", "--delta-range", "0.55", "0.75",
       "--coarse-points", "3", "--refine-starts", "1"], ("text", "json")),
     (SAMPLE_ARGV, ("text", "json")),
+    (["shots", "--r", "0.5", "--n", "3", "--phi-sum", "0.3"], ("csv",)),
     (["validate", "--quick"], ("text", "json")),
     (["figure", "fig1", "--Delta", "4", "--r-range", "0", "1", "--r-points", "2",
       "--delta-points", "2"], ("csv", "json")),
@@ -447,3 +452,101 @@ def test_figure_point_counts_must_be_positive(argv, capsys):
 def test_empty_or_negative_counts_exit_2(argv, capsys):
     assert exit_code(argv) == 2
     assert "invalid arguments" in capsys.readouterr().err
+
+
+# -- one input checker: --config values parse exactly like the flags they name -----
+
+def write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+EVAL_ARGV = ["eval", "--r", "1", "--delta", "0.6", "--Delta", "2"]
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (EVAL_ARGV, {"format": "xml"}),
+    (EVAL_ARGV, {"mutual_info": "no"}),
+    (EVAL_ARGV, {"mutual_info": 1}),
+    (EVAL_ARGV, {"output": None}),
+    (EVAL_ARGV, {"r": True}),
+    (["scan", "--Delta", "2"], {"r_points": 5.5}),
+    (["figure", "fig1"], {"delta_bins": ["wide"]}),
+])
+def test_config_value_that_its_flag_rejects_exits_2(argv, cfg, tmp_path):
+    assert exit_code(argv + ["--config", write_config(tmp_path, cfg)]) == 2
+
+
+def test_config_list_or_scalar_for_a_multi_value_flag(tmp_path):
+    # a scalar for the nargs="+" --Delta of fig1 is one width, as on the command line
+    base = ["figure", "fig1", "--r-range", "0", "1", "--r-points", "2", "--delta-points", "3"]
+    out = {}
+    for name, extra in [("flag", ["--Delta", "4"]),
+                        ("scalar", ["--config", write_config(tmp_path, {"delta_bins": 4}, "a")]),
+                        ("list", ["--config", write_config(tmp_path, {"delta_bins": [4]}, "b")])]:
+        path = tmp_path / f"{name}.csv"
+        assert main(base + extra + ["--output", str(path)]) == 0
+        out[name] = path.read_bytes()
+    assert out["scalar"] == out["flag"] == out["list"]
+
+
+def test_config_value_is_converted_like_its_flag(tmp_path):
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path, {"r": 1, "delta": 0.6, "delta_bin": 2, "mutual_info": True})
+    assert main(["eval", "--config", cfg, "--format", "json", "--output", str(out)]) == 0
+    text = out.read_text()
+    assert '"Delta": 2.0' in text and '"r": 1.0' in text
+    assert "mutual_info_margin" in json.loads(text)
+
+
+def test_config_leaves_the_parser_unchanged(tmp_path):
+    parser = _build_parser()
+    cfg = write_config(tmp_path, {"r_points": 3, "delta_bin": 2.0})
+    assert _apply_config(parser, ["scan", "--config", cfg]).r_points == 3
+    args = _apply_config(parser, ["scan", "--Delta", "5"])
+    assert (args.r_points, args.delta_bin, args.config) == (41, 5.0, None)
+
+
+def test_sample_has_no_shot_dump_mode():
+    assert exit_code(SAMPLE_ARGV + ["--phi-sum", "0.3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--r", "0.5", "--n", "2000", "--delta", "nan", "--Delta", "1.5"],
+    ["sample", "--r", "0.5", "--n", "2000", "--delta", "0.9", "--Delta", "nan"],
+    ["sample", "--r", "0.5", "--n", "2000", "--delta", "0.9", "--Delta", "inf"],
+    ["shots", "--r", "0.5", "--n", "3", "--phi-sum", "nan"],
+    EVAL_ARGV + ["--theta", "nan"],
+])
+def test_non_finite_input_exits_2(argv, capsys):
+    assert exit_code(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--Delta", "6", "--r-range", "1", "0"],
+    ["minimize", "--Delta", "6", "--r-range", "-1", "1"],
+    ["shots", "--r", "0.5", "--n", "0", "--phi-sum", "0.3"],
+])
+def test_library_range_checks_exit_2(argv, capsys):
+    assert exit_code(argv) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed"])
+def test_unreadable_config_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if case == "malformed":
+        path.write_text("{")
+    assert exit_code(EVAL_ARGV + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if line.startswith("entrobell")]
+    assert line.startswith(f"entrobell: error: cannot read config {path}: ")
+
+
+@pytest.mark.parametrize("flag", ["--output", "--dump-dist"])
+def test_unwritable_path_exits_2(flag, tmp_path, capsys):
+    assert exit_code(EVAL_ARGV + [flag, str(tmp_path / "missing" / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("entrobell: cannot write output:")

@@ -52,11 +52,12 @@ def test_make_grid_validation():
         make_grid(TmsvParams(1.0), 1.0, tail_epsilon=0.0)
 
 
-def test_make_grid_budget():
+def test_make_grid_budget(monkeypatch):
     with pytest.raises(GridTooLarge):
         make_grid(TmsvParams(2.0), 5e-4)
     # same grid passes with a raised budget
-    g = make_grid(TmsvParams(2.0), 5e-4, cell_budget=10 ** 12)
+    monkeypatch.setattr(coarse_grain, "CELL_BUDGET", 10 ** 12)
+    g = make_grid(TmsvParams(2.0), 5e-4)
     assert g.l_max > 10 ** 4
 
 
@@ -176,18 +177,21 @@ def test_bin_prob_2d_out_of_grid():
         bin_prob_2d(c, grid, grid.l_max + 1, 0)
 
 
-def test_quadrature_budget_error():
+def test_quadrature_budget_error(monkeypatch):
     # a 50-wide cell at r=0 needs hundreds of panels
     state = TmsvParams(0.0)
     grid = make_grid(state, 50.0)
     c = coefficients(state, PhaseSettings(0.0, 0.0))
+    monkeypatch.setattr(coarse_grain, "_MAX_PANELS", 2)
     with pytest.raises(QuadratureBudgetExceeded):
-        bin_prob_2d(c, grid, 0, 0, max_panels=2)
+        bin_prob_2d(c, grid, 0, 0)
     # the cap applies to the full window (283 panels), though only the part
     # within 9 sigma of it is integrated
+    monkeypatch.setattr(coarse_grain, "_MAX_PANELS", 282)
     with pytest.raises(QuadratureBudgetExceeded):
-        binned_joint(state, 0.0, 50.0, max_panels=282)
-    assert binned_joint(state, 0.0, 50.0, max_panels=283).probs[0, 0] \
+        binned_joint(state, 0.0, 50.0)
+    monkeypatch.setattr(coarse_grain, "_MAX_PANELS", 283)
+    assert binned_joint(state, 0.0, 50.0).probs[0, 0] \
         == pytest.approx(1.0, abs=1e-15)
 
 
@@ -217,9 +221,9 @@ def test_joint_integrates_only_the_wedge_rows(monkeypatch):
     calls = []
     panel_rows = coarse_grain._panel_rows
 
-    def counted(state, coeffs, grid, windows, max_panels):
+    def counted(state, coeffs, grid, windows):
         calls.append(list(windows))
-        return panel_rows(state, coeffs, grid, windows, max_panels)
+        return panel_rows(state, coeffs, grid, windows)
 
     monkeypatch.setattr(coarse_grain, "_panel_rows", counted)
     joint = binned_joint(TmsvParams(1.0), 0.5, 0.5)
@@ -244,7 +248,7 @@ def test_panel_count_follows_the_integrand():
     # panels are at most min(sigma_a, 8 sigma_c/|rho|)/4 wide, whatever Delta
     def n_panels(r, phi_sum, delta):
         c = coefficients(TmsvParams(r), PhaseSettings(0.0, phi_sum))
-        return coarse_grain._panel_count(delta, c, 10 ** 6)
+        return coarse_grain._panel_count(delta, c)
 
     assert n_panels(0.6, 0.5, 0.3) == 2
     assert n_panels(1.0, 0.05, 0.2) == 1

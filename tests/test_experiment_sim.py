@@ -155,6 +155,13 @@ def test_empirical_requires_two_bootstrap_resamples(n_bootstrap):
                        n_per_setting=1000, seed=1, n_bootstrap=n_bootstrap)
 
 
+@pytest.mark.parametrize("delta_bin", [0.0, -1.0, float("nan"), float("inf")])
+def test_bin_counts_needs_a_positive_finite_width(delta_bin):
+    batch = sample_pairs(TmsvParams(0.5), 0.3, 10, seed=1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        bin_counts(batch, delta_bin)
+
+
 def test_estimator_consistency():
     # estimate error shrinks when shots grow 100x
     state = TmsvParams(1.0)

@@ -32,6 +32,13 @@ def test_state_validation():
     assert TmsvParams(0.0).r == 0.0
 
 
+@pytest.mark.parametrize("theta,phi", [(float("nan"), 0.0), (0.0, float("inf")),
+                                       (float("-inf"), 0.3)])
+def test_phase_settings_must_be_finite(theta, phi):
+    with pytest.raises(ValueError, match="finite"):
+        PhaseSettings(theta, phi)
+
+
 def test_coefficients_frozen_point():
     # r=1, phi_sum=0: v = cosh(2), w = sinh(2), v - w = e^{-2}, norm = pi.
     c = coefficients(TmsvParams(1.0), PhaseSettings(0.0, 0.0))
