@@ -38,8 +38,9 @@ from .experiment_sim import DEFAULT_BOOTSTRAP, empirical_d_qm, sample_pairs
 from .gaussian_core import TmsvParams, TruncationNotConverged
 from .validation import run_checks
 
+# ArithmeticError: overflow or division by zero in float arithmetic at extreme squeezing
 _NUMERIC_ERRORS = (GridTooLarge, QuadratureBudgetExceeded, TruncationNotConverged,
-                   InvalidDistribution)
+                   InvalidDistribution, ArithmeticError)
 
 
 @contextmanager
@@ -403,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
     try:
-        return _DISPATCH[args.command](args, parser)
+        return _DISPATCH[args.command](args, parser.subparser_map[args.command])
     except _NUMERIC_ERRORS as exc:
         print(f"entrobell: numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -35,9 +35,11 @@ Two independent routes compute the probability of a 2D cell:
   Every cell depends on its own row alone, so the result is bitwise the
   same for any block size, and bin_prob_2d, which computes one row on the
   same path, returns bitwise the binned_joint entry.
-* rectangle CDF: the cell is mapped to a standard bivariate normal
-  rectangle with correlation w/v and evaluated with Gauss-Legendre applied
-  to the correlation-integral representation of the bivariate normal CDF.
+* rectangle CDF: the grid edges, scaled to unit variance, form a lattice of
+  orthants P(X > x_i, Y > y_j) of the standard bivariate normal with
+  correlation w/v.  Each is evaluated once, by Gauss-Legendre applied to the
+  correlation-integral representation of the CDF, and every cell is the one
+  2D difference of its four corners, clipped at 0.
 
 The two must agree to 1e-10 absolute; they share no quadrature machinery.
 
@@ -339,10 +341,8 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
         # copies the rows above onto their images under (l, m) -> (m, l).
         probs = np.maximum(probs, probs.T)
     elif method == RECTANGLE_CDF:
-        probs = np.empty((grid.n_bins, grid.n_bins))
-        for i, l in enumerate(range(-grid.l_max, grid.l_max + 1)):
-            for j, m in enumerate(range(-grid.l_max, grid.l_max + 1)):
-                probs[i, j] = bin_prob_2d(coeffs, grid, l, m, method=RECTANGLE_CDF)
+        z = grid.edges() / coeffs.sigma_marginal
+        probs = _rectangle_cells(z, z, coeffs.correlation)
         captured_mass = math.fsum(probs.ravel().tolist())
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -357,16 +357,14 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
     """Probability that record a falls in window l and record b in window m."""
     if abs(l) > grid.l_max or abs(m) > grid.l_max:
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
-    delta = grid.delta
     if method == PANEL_QUADRATURE:
         a, b = _wedge(l, m)
         row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [a])
         return float(row[0, b + grid.l_max])
     if method == RECTANGLE_CDF:
-        sigma = coeffs.sigma_marginal
-        x_lo, x_hi = (l * delta - 0.5 * delta) / sigma, (l * delta + 0.5 * delta) / sigma
-        y_lo, y_hi = (m * delta - 0.5 * delta) / sigma, (m * delta + 0.5 * delta) / sigma
-        return bvn_rectangle(x_lo, x_hi, y_lo, y_hi, coeffs.correlation)
+        z = grid.edges() / coeffs.sigma_marginal
+        i, j = l + grid.l_max, m + grid.l_max
+        return bvn_rectangle(z[i], z[i + 1], z[j], z[j + 1], coeffs.correlation)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -390,10 +388,15 @@ def _gl_rule(rho: float) -> tuple[np.ndarray, np.ndarray]:
     return _GL20
 
 
-def bvn_upper(h: float, k: float, rho: float) -> float:
-    """P(X > h, Y > k) for standard bivariate normal with correlation rho."""
+def bvn_upper(h: float | np.ndarray, k: float | np.ndarray, rho: float) -> float | np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normal with correlation rho.
+
+    h and k broadcast against each other at the one rho: numbers give a
+    float, arrays an array.  A call holds (elements x quadrature nodes) values.
+    """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
     x, wts = _gl_rule(rho)
     hk = h * k
     bvn = 0.0
@@ -402,13 +405,13 @@ def bvn_upper(h: float, k: float, rho: float) -> float:
             hs = 0.5 * (h * h + k * k)
             asr = math.asin(rho)
             sn = np.sin(0.5 * asr * (x + 1.0))
-            bvn = float(wts @ np.exp((sn * hk - hs) / (1.0 - sn * sn)))
+            bvn = np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn)) @ wts
             bvn *= asr / (4.0 * math.pi)
-        return bvn + float(special.ndtr(-h) * special.ndtr(-k))
+        out = bvn + special.ndtr(-h) * special.ndtr(-k)
+        return float(out) if out.ndim == 0 else out
     # |rho| >= 0.925: integrate the residual after removing the rho -> +-1 limit.
     if rho < 0.0:
-        k = -k
-        hk = -hk
+        k, hk = -k, -hk
     if abs(rho) < 1.0:
         a_s = (1.0 - rho) * (1.0 + rho)
         a = math.sqrt(a_s)
@@ -416,33 +419,38 @@ def bvn_upper(h: float, k: float, rho: float) -> float:
         c = (4.0 - hk) / 8.0
         d = (12.0 - hk) / 16.0
         asr = -0.5 * (bs / a_s + hk)
-        if asr > -100.0:
-            bvn = a * math.exp(asr) * (1.0 - c * (bs - a_s) * (1.0 - d * bs / 5.0) / 3.0
-                                       + c * d * a_s * a_s / 5.0)
-        if -hk < 100.0:
-            b = math.sqrt(bs)
-            bvn -= math.exp(-0.5 * hk) * math.sqrt(2.0 * math.pi) * float(special.ndtr(-b / a)) \
-                * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+        b = np.sqrt(bs)
         half = 0.5 * a
         xs = (half * (x + 1.0)) ** 2
         rs = np.sqrt(1.0 - xs)
-        asr_v = -0.5 * (bs / xs + hk)
-        keep = asr_v > -100.0
-        if np.any(keep):
-            sp = 1.0 + c * xs * (1.0 + d * xs)
-            ep = np.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
-            bvn += half * float(wts[keep] @ (np.exp(asr_v[keep]) * (ep - sp)[keep]))
+        asr_v = -0.5 * (bs[..., None] / xs + hk[..., None])
+        sp = 1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs)
+        # np.where drops the terms past the cut-offs, which may overflow first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ep = np.exp(-0.5 * hk[..., None] * (1.0 - rs) / (1.0 + rs)) / rs
+            bvn = np.where(asr > -100.0, a * np.exp(asr) * (
+                1.0 - c * (bs - a_s) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a_s * a_s / 5.0), 0.0)
+            bvn -= np.where(-hk < 100.0, np.exp(-0.5 * hk) * math.sqrt(2.0 * math.pi)
+                            * special.ndtr(-b / a) * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
+                            0.0)
+            bvn += half * (np.where(asr_v > -100.0, np.exp(asr_v) * (ep - sp), 0.0) @ wts)
         bvn = -bvn / (2.0 * math.pi)
     if rho > 0.0:
-        return bvn + float(special.ndtr(-max(h, k)))
-    bvn = -bvn
-    if k > h:
-        bvn += float(special.ndtr(k) - special.ndtr(h))
-    return bvn
+        out = bvn + special.ndtr(-np.maximum(h, k))
+    else:
+        out = np.where(k > h, special.ndtr(k) - special.ndtr(h), 0.0) - bvn
+    return float(out) if out.ndim == 0 else out
+
+
+def _rectangle_cells(x, y, rho: float) -> np.ndarray:
+    """P(x[i] < X < x[i + 1], y[j] < Y < y[j + 1]) for increasing edges x and y.
+
+    One bvn_upper call per lattice row computes each orthant once.
+    """
+    u = np.array([bvn_upper(xi, y, rho) for xi in x])
+    return np.maximum(u[:-1, :-1] - u[1:, :-1] - u[:-1, 1:] + u[1:, 1:], 0.0)
 
 
 def bvn_rectangle(x_lo: float, x_hi: float, y_lo: float, y_hi: float, rho: float) -> float:
     """P(x_lo < X < x_hi, y_lo < Y < y_hi) for the standard bivariate normal."""
-    p = (bvn_upper(x_lo, y_lo, rho) - bvn_upper(x_hi, y_lo, rho)
-         - bvn_upper(x_lo, y_hi, rho) + bvn_upper(x_hi, y_hi, rho))
-    return max(p, 0.0)
+    return float(_rectangle_cells((x_lo, x_hi), (y_lo, y_hi), rho)[0, 0])

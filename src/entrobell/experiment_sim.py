@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import AngleGeometry, _chained
-from .coarse_grain import _check_bin_width
+from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width
 from .entropy import EntropyTerms
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
@@ -26,6 +26,10 @@ _BLOCK = 1 << 16
 # Bootstrap resample count; entropy estimators have no usable closed-form
 # variance at small occupancy, resampling the contingency table does.
 DEFAULT_BOOTSTRAP = 200
+
+# Most shots per setting that sample_pairs draws, ten times the largest count
+# the scripts and the benchmark use: at 16 bytes a shot, one batch is 160 MB.
+_MAX_SHOTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ def sample_pairs(state: TmsvParams, phi_sum: float, n: int, seed: int,
     through its Cholesky factor.  Deterministic for fixed (seed,
     setting_index), independent of block scheduling.
     """
-    if n < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= n <= _MAX_SHOTS:
+        raise ValueError(f"need between 1 and {_MAX_SHOTS} shots, got {n}")
     c = coefficients(state, PhaseSettings(theta=0.0, phi=phi_sum))
     sigma = c.sigma_marginal
     rho = c.correlation
@@ -88,15 +92,19 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
 
     Windows are centred at integer multiples of delta_bin, exactly as in
     the analytic pipeline; the table spans the smallest index box holding
-    every shot.
+    every shot.  A box of more than CELL_BUDGET cells raises GridTooLarge.
     """
     _check_bin_width(delta_bin)
-    idx = np.rint(batch.pairs / delta_bin).astype(np.int64)
-    lo = idx.min(axis=0)
-    span = idx.max(axis=0) - lo + 1
-    flat = (idx[:, 0] - lo[0]) * span[1] + (idx[:, 1] - lo[1])
-    counts = np.bincount(flat, minlength=span[0] * span[1])
-    return counts.reshape(span[0], span[1])
+    # window indices per column, in float64: a wide record's pass the int64 range
+    a, b = (np.rint(col / delta_bin) for col in batch.pairs.T)
+    a_lo, b_lo = a.min(), b.min()
+    rows, cols = int(a.max() - a_lo) + 1, int(b.max() - b_lo) + 1
+    if rows * cols > CELL_BUDGET:
+        raise GridTooLarge(f"shots span {rows}x{cols} = {rows * cols} windows, budget is "
+                           f"{CELL_BUDGET} (delta_bin={delta_bin}, r={batch.r})")
+    # exact in float64: every flat index is below CELL_BUDGET < 2**53
+    flat = ((a - a_lo) * cols + (b - b_lo)).astype(np.int64)
+    return np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
 
 
 def plugin_entropies(counts: np.ndarray, miller_madow: bool = True

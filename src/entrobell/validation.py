@@ -17,10 +17,8 @@ from .bell import AngleGeometry, evaluate, evaluate_general, scan_zero_delta
 from .coarse_grain import (
     PANEL_QUADRATURE,
     RECTANGLE_CDF,
-    bin_prob_2d,
     binned_joint,
     binned_marginal,
-    make_grid,
 )
 from .entropy import conditional_entropy, s_qm
 from .gaussian_core import (
@@ -107,24 +105,18 @@ def check_fock_oracle(quick: bool = False) -> CheckResult:
 
 
 def check_method_agreement(quick: bool = False) -> CheckResult:
-    """Panel quadrature against the rectangle-CDF route on random cells."""
+    """Panel quadrature against the rectangle-CDF route, matrix against matrix."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260817)
     n_sets = 6 if quick else 20
     worst = 0.0
     for _ in range(n_sets):
-        r = float(rng.uniform(0.0, 4.0))
+        state = TmsvParams(float(rng.uniform(0.0, 4.0)))
         ph = float(rng.uniform(0.0, 2.0 * np.pi))
         db = float(np.exp(rng.uniform(np.log(0.5), np.log(100.0))))
-        state = TmsvParams(r)
-        grid = make_grid(state, db)
-        c = coefficients(state, PhaseSettings(0.0, ph))
-        for _ in range(5 if quick else 25):
-            l = int(rng.integers(-grid.l_max, grid.l_max + 1))
-            m = int(rng.integers(-grid.l_max, grid.l_max + 1))
-            p1 = bin_prob_2d(c, grid, l, m, method=PANEL_QUADRATURE)
-            p2 = bin_prob_2d(c, grid, l, m, method=RECTANGLE_CDF)
-            worst = max(worst, abs(p1 - p2))
+        p1 = binned_joint(state, ph, db, method=PANEL_QUADRATURE).probs
+        p2 = binned_joint(state, ph, db, method=RECTANGLE_CDF).probs
+        worst = max(worst, float(np.max(np.abs(p1 - p2))))
     ok = worst <= 1e-10
     return _finish("method-cross-validation", t0, ok,
                    f"worst |panel - rectangle| = {worst:.2e} "

@@ -443,6 +443,38 @@ def test_figure_point_counts_must_be_positive(argv, capsys):
     assert "point counts must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["figure", "fig1", "--r-points", "0"], "usage: entrobell figure fig1 "),
+    (["scan", "--Delta", "1", "--r-points", "0"], "usage: entrobell scan "),
+])
+def test_handler_errors_print_the_leaf_usage(argv, usage, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
+EXTREME = ["--delta", "0.5", "--Delta", "1", "--n", "2000", "--bootstrap", "2"]
+
+
+# r = 400 overflows cosh; at r = 300 v^2 - w^2 underflows to 0; at r = 12 and 30
+# the sampled window box is far beyond the cell budget
+@pytest.mark.parametrize("argv", [
+    ["eval", "--r", "400", "--delta", "0.5", "--Delta", "1"],
+    ["scan", "--Delta", "1", "--r-range", "400", "400", "--r-points", "1",
+     "--delta-points", "2"],
+    ["minimize", "--Delta", "1", "--r-range", "400", "400"],
+    ["sample", "--r", "400", *EXTREME],
+    ["shots", "--r", "400", "--phi-sum", "0.3", "--n", "3"],
+    ["sample", "--r", "300", *EXTREME],
+    ["sample", "--r", "12", *EXTREME],
+    ["sample", "--r", "30", *EXTREME],
+], ids=["eval", "scan", "minimize", "sample", "shots", "sample-r300", "sample-r12",
+        "sample-r30"])
+def test_extreme_squeezing_exits_3(argv, capsys):
+    assert exit_code(argv) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("entrobell: numeric failure:")
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--Delta", "6", "--coarse-points", "4", "--refine-starts", "-1"],
     ["minimize", "--Delta", "6", "--coarse-points", "0"],
@@ -528,6 +560,7 @@ def test_non_finite_input_exits_2(argv, capsys):
     ["minimize", "--Delta", "6", "--r-range", "1", "0"],
     ["minimize", "--Delta", "6", "--r-range", "-1", "1"],
     ["shots", "--r", "0.5", "--n", "0", "--phi-sum", "0.3"],
+    ["shots", "--r", "0.5", "--n", "10000001", "--phi-sum", "0.3"],
 ])
 def test_library_range_checks_exit_2(argv, capsys):
     assert exit_code(argv) == 2

@@ -323,6 +323,37 @@ def test_joint_methods_agree_matrixwise(r, phi_sum, delta):
     assert np.max(np.abs(p.marginal_a() - marg)) < 1e-12
 
 
+# correlations 0.19, 0.73, 0.85, -0.91 and 0.994: each |rho| branch of bvn_upper
+@pytest.mark.parametrize("r, phi_sum, delta", [
+    (0.1, 0.3, 0.5), (0.6, 0.5, 0.3), (1.0, 0.5, 2.0), (1.0, 2.8, 2.0), (2.0, 0.1, 3.0),
+])
+def test_rectangle_lattice_is_the_per_cell_rectangle(r, phi_sum, delta):
+    # the reference is the per-cell loop: one bvn_rectangle per cell
+    state = TmsvParams(r)
+    joint = binned_joint(state, phi_sum, delta, method=RECTANGLE_CDF)
+    c = coefficients(state, PhaseSettings(0.0, phi_sum))
+    lm = joint.grid.l_max
+    cells = np.array([[bin_prob_2d(c, joint.grid, l, m, method=RECTANGLE_CDF)
+                       for m in range(-lm, lm + 1)] for l in range(-lm, lm + 1)])
+    assert np.max(np.abs(joint.probs - cells)) <= 1e-15
+    assert joint.captured_mass == math.fsum(joint.probs.ravel().tolist())
+
+
+def test_rectangle_lattice_takes_one_bvn_upper_call_per_row(monkeypatch):
+    # each call holds one lattice row, never the whole (N+1)^2 lattice
+    calls = []
+    bvn = coarse_grain.bvn_upper
+
+    def spy(h, k, rho):
+        calls.append((np.size(h), np.size(k)))
+        return bvn(h, k, rho)
+
+    monkeypatch.setattr(coarse_grain, "bvn_upper", spy)
+    joint = binned_joint(TmsvParams(1.0), 0.05, 0.2, method=RECTANGLE_CDF)
+    n_edges = joint.grid.n_bins + 1
+    assert calls == [(1, n_edges)] * n_edges
+
+
 @pytest.mark.parametrize("r, phi_sum, delta", [
     (1.0, 0.5, 2.0), (3.0, 1e-3, 1.5), (0.5, 0.2, 50.0), (2.0, 0.1, 50.0),
     (0.6, 0.5, 0.3), (1.0, 0.05, 0.2),
@@ -423,3 +454,67 @@ def test_bvn_rectangle_consistency():
 def test_bvn_upper_in_unit_interval(rho, h, k):
     p = bvn_upper(h, k, rho)
     assert -1e-15 <= p <= 1.0 + 1e-15
+
+
+# The scalar bvn_upper as it was before it took arrays, one row per
+# (h, k, rho, value): rho = 0; |rho| in (0, 0.3), [0.3, 0.75), [0.75, 0.925)
+# and [0.925, 1) of both signs; rho = +-1; rho < 0 with k > h after the
+# reflection k -> -k (the (0.3, -1.0) rows); and the cut-offs of the
+# high-|rho| branch, asr <= -100 at (-1, 2, 0.99) and -hk >= 100 at
+# (-8, 14, 0.95) and (-8, 14, 0.99).
+BVN_UPPER_TABLE = [
+    (0.3, -1.2, 0.0, 0.33812177116684866),
+    (2.5, 2.5, 0.0, 3.85599434581464e-05),
+    (0.3, -1.2, 0.2, 0.3523510967197211),
+    (6.0, 5.5, 0.2, 6.59561139658863e-15),
+    (-28.0, 27.0, 0.2, 7.389481006884598e-161),
+    (0.3, -1.2, -0.15, 0.3267273280622332),
+    (6.0, 5.5, -0.15, 4.0785707905857696e-20),
+    (-28.0, 27.0, -0.15, 7.389481006884598e-161),
+    (0.3, -1.2, 0.5, 0.37066552372507894),
+    (-3.0, -2.5, 0.5, 0.9926611999368546),
+    (6.0, 5.5, 0.5, 2.66115110925571e-12),
+    (0.3, -1.2, -0.6, 0.289798957366258),
+    (-3.0, -2.5, -0.6, 0.9924404366656291),
+    (6.0, 5.5, -0.6, 2.4470095501406464e-28),
+    (0.3, -1.2, 0.8, 0.38139004670320836),
+    (1.5, -0.5, 0.8, 0.06675815805375816),
+    (-28.0, 27.0, 0.8, 7.389481006884598e-161),
+    (0.3, -1.2, -0.9, 0.2681342584721594),
+    (1.5, -0.5, -0.9, 0.00047678890267581486),
+    (-28.0, 27.0, -0.9, 7.389481006884598e-161),
+    (0.0, 1.0, 0.95, 0.1586313507705918),
+    (1.5, -0.5, 0.95, 0.06680720126670328),
+    (-8.0, 14.0, 0.95, 7.7935368191928e-45),
+    (-28.0, 27.0, 0.95, 7.389481006884598e-161),
+    (-1.0, 2.0, 0.99, 0.022750131948179195),
+    (0.0, 1.0, 0.99, 0.15865525393145186),
+    (-8.0, 14.0, 0.99, 7.7935368191928e-45),
+    (0.3, -1.0, -0.97, 0.22348303756888105),
+    (0.3, 1.1, -0.97, 8.220392017193788e-11),
+    (-8.0, 14.0, -0.97, -7.3504327096541694e-155),
+    (0.3, -1.0, -0.95, 0.2239162906565349),
+    (-0.4, 0.2, -0.95, 0.09557387597737087),
+    (6.0, 5.5, -0.95, -3.1345326212394094e-285),
+    (0.3, 1.1, 1.0, 0.13566606094638267),
+    (-0.4, 0.2, 1.0, 0.42074029056089696),
+    (0.3, -1.0, -1.0, 0.22343332387959036),
+    (0.3, 1.1, -1.0, -0.0),
+    (-0.4, 0.2, -1.0, 0.07616203217122114),
+    (0.3, 1.1, 0.9999999, 0.13566606094638267),
+    (-0.4, 0.2, -0.9999999, 0.07616203217122114),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bvn_upper_on_arrays_matches_the_scalar_table():
+    table = np.array(BVN_UPPER_TABLE)
+    for rho in np.unique(table[:, 2]):
+        h, k, _, want = table[table[:, 2] == rho].T
+        got = bvn_upper(h, k, float(rho))
+        assert got.shape == h.shape
+        assert np.max(np.abs(got - want)) <= 2e-16
+        for one_h, one_k, one_want in zip(h, k, want):
+            one = bvn_upper(float(one_h), float(one_k), float(rho))
+            assert type(one) is float
+            assert abs(one - one_want) <= 2e-16

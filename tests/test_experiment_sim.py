@@ -10,8 +10,10 @@ from conftest import (
     HEADLINE_DELTA_BIN,
     HEADLINE_R,
 )
+from entrobell import experiment_sim
 from entrobell import (
     AngleGeometry,
+    GridTooLarge,
     TmsvParams,
     bin_counts,
     binned_joint,
@@ -160,6 +162,21 @@ def test_bin_counts_needs_a_positive_finite_width(delta_bin):
     batch = sample_pairs(TmsvParams(0.5), 0.3, 10, seed=1)
     with pytest.raises(ValueError, match="positive and finite"):
         bin_counts(batch, delta_bin)
+
+
+def test_sample_pairs_caps_the_shot_count():
+    # ten times the largest count in use; checked before the shots are allocated
+    assert experiment_sim._MAX_SHOTS >= 10 * 10 ** 6
+    with pytest.raises(ValueError, match="shots"):
+        sample_pairs(TmsvParams(1.0), 0.3, experiment_sim._MAX_SHOTS + 1, seed=1)
+
+
+@pytest.mark.parametrize("r", [12.0, 30.0])
+def test_bin_counts_box_over_the_cell_budget_raises(r):
+    # r = 12: a dense table of 2.9e11 windows; r = 30: the box passes the int64 range
+    batch = sample_pairs(TmsvParams(r), 0.3, 2000, seed=1)
+    with pytest.raises(GridTooLarge, match="budget"):
+        bin_counts(batch, 1.0)
 
 
 def test_estimator_consistency():
