@@ -29,7 +29,7 @@ from ._version import __version__
 from .coarse_grain import (
     DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, BinnedDistribution2D, binned_joint, make_grid,
 )
-from .entropy import EntropyTerms, conditional_entropy, s_qm
+from .entropy import EntropyTerms, _s_qm_values, conditional_entropy
 from .gaussian_core import TmsvParams
 
 SCAN_CSV_HEADER = "r,delta,Delta,d_qm"
@@ -216,9 +216,36 @@ def evaluate_mutual_info(state: TmsvParams, geometry: AngleGeometry, delta_bin: 
 
 def d_qm_value(state: TmsvParams, delta: float, delta_bin: float,
                tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> float:
-    """d_qm = 3 S_qm(delta/3) - S_qm(delta), the reduced two-entropy form."""
-    return 3.0 * s_qm(state, delta / 3.0, delta_bin, tail_epsilon) \
-        - s_qm(state, delta, delta_bin, tail_epsilon)
+    """d_qm = 3 S_qm(delta/3) - S_qm(delta), the reduced two-entropy form.
+
+    S_qm at a phase sum phi in (pi/2, pi] is taken at pi - phi, where it
+    has the same value up to roundoff.
+    """
+    return _d_qm_values([(state.r, delta)], delta_bin, tail_epsilon)[0]
+
+
+def _folded(phase: float) -> float:
+    """pi - phase for a phase sum in (pi/2, pi], else the phase sum itself.
+
+    S(phi) = S(pi - phi): the density at pi - phi is the one at phi with
+    b -> -b, and the grid is symmetric, so the joint at pi - phi is the one
+    at phi with its columns reversed, up to roundoff (S moves by at most a
+    few 1e-15).
+    """
+    return math.pi - phase if math.pi / 2 < phase <= math.pi else phase
+
+
+def _d_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
+    """d_qm_value at each (r, delta) of `points`, building each distinct joint once.
+
+    Phase sums are folded into [0, pi/2] first, so S(pi - phi) and S(phi)
+    share one joint.
+    """
+    keys = list(dict.fromkeys((r, _folded(phase))
+                              for r, delta in points for phase in (delta / 3.0, delta)))
+    s = dict(zip(keys, _s_qm_values([(TmsvParams(r), phase) for r, phase in keys],
+                                    delta_bin, tail_epsilon)))
+    return [3.0 * s[r, _folded(delta / 3.0)] - s[r, _folded(delta)] for r, delta in points]
 
 
 @dataclass(frozen=True)
@@ -262,8 +289,8 @@ def scan(state_values, delta_values, delta_bin: float,
     """Dense d_qm matrix over squeezing values (rows) and angle offsets (columns)."""
     r_values = np.asarray(state_values, dtype=float)
     d_values = np.asarray(delta_values, dtype=float)
-    mat = np.array([[d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon) for d in d_values]
-                    for r in r_values], dtype=float).reshape(len(r_values), len(d_values))
+    mat = np.array(_d_qm_values([(r, d) for r in r_values for d in d_values],
+                                delta_bin, tail_epsilon), dtype=float).reshape(len(r_values), len(d_values))
     l_lo = make_grid(TmsvParams(float(r_values.min())), delta_bin, tail_epsilon).l_max
     l_hi = make_grid(TmsvParams(float(r_values.max())), delta_bin, tail_epsilon).l_max
     return ScanResult(
@@ -307,8 +334,10 @@ def scan_zero_delta(state_values, delta_bin_values,
     """
     r_values = np.asarray(state_values, dtype=float)
     db_values = np.asarray(delta_bin_values, dtype=float)
-    mat = np.array([[2.0 * s_qm(TmsvParams(r), 0.0, db, tail_epsilon) for db in db_values]
-                    for r in r_values], dtype=float).reshape(len(r_values), len(db_values))
+    # one batch per bin-width column
+    columns = [_s_qm_values([(TmsvParams(r), 0.0) for r in r_values], db, tail_epsilon)
+               for db in db_values]
+    mat = 2.0 * np.array(columns, dtype=float).reshape(len(db_values), len(r_values)).T
     return ZeroOffsetScanResult(
         r_values=r_values, delta_bin_values=db_values, d_qm=mat,
         tail_epsilon=tail_epsilon,
@@ -390,7 +419,7 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     d_grid = _coarse_deltas(d_lo, d_hi, options.coarse_points)
     jobs = [(r, d) for r in r_grid for d in d_grid]
 
-    flat = np.array([d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon) for r, d in jobs])
+    flat = np.array(_d_qm_values(jobs, delta_bin, tail_epsilon))
     n_evals = len(jobs)
     coarse_d_min = float(flat.min())
 

@@ -9,6 +9,7 @@ success, 1 failed validation checks, 2 invalid arguments, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,7 +70,13 @@ def _add_common(parser, formats: tuple[str, ...], tail_epsilon: bool = True) -> 
                         help="JSON file whose keys mirror the long flags")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept for the process.
+
+    Parsing leaves it unchanged: every default is immutable, and no handler
+    writes to the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="entrobell",
         description="Entropic Bell inequality for coarse-grained homodyne "

@@ -28,13 +28,14 @@ Two independent routes compute the probability of a 2D cell:
   representative, so the returned matrix is exactly symmetric, and the
   captured mass is the fsum of the nonzero wedge entries scaled by their
   orbit sizes (1, 2 or 4; exact, so equal to the fsum over every cell).
-  The wedge rows are computed together: rows with equal panel counts (in a
-  joint, the window the clip cuts and all the others) share one band
-  width, and are evaluated in blocks whose (rows, edges, nodes) arrays hold
-  at most _BLOCK_ELEMENTS elements, or one row if a row alone is larger.
-  Every cell depends on its own row alone, so the result is bitwise the
-  same for any block size, and bin_prob_2d, which computes one row on the
-  same path, returns bitwise the binned_joint entry.
+  The wedge rows of many joints at one bin width are computed together
+  (_binned_joints; binned_joint is a batch of one): rows with equal panel
+  counts, sorted by band width, are evaluated in blocks whose (rows, edges,
+  nodes) arrays hold at most _BLOCK_ELEMENTS elements, or one row if a row
+  alone is larger.  Every cell depends on its own row alone, so the result
+  is bitwise the same in any batch and for any block size, and
+  bin_prob_2d, which computes one row on the same path, returns bitwise
+  the binned_joint entry.
 * rectangle CDF: the grid edges, scaled to unit variance, form a lattice of
   orthants P(X > x_i, Y > y_j) of the standard bivariate normal with
   correlation w/v.  Each is evaluated once, by Gauss-Legendre applied to the
@@ -58,7 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gaussian_core import JointGaussianCoefficients, PhaseSettings, TmsvParams, coefficients, marginal_pdf
+from .gaussian_core import (
+    JointGaussianCoefficients, PhaseSettings, TmsvParams, _marginal_density, coefficients,
+)
 
 PANEL_QUADRATURE = "panel-quadrature"
 RECTANGLE_CDF = "rectangle-cdf"
@@ -79,7 +82,10 @@ _MAX_PANELS = 100_000
 _MIN_CUT = 9.0
 # Elements of one (rows, edges, nodes) block of the panel kernel; a row
 # larger than this forms a block of its own.  Results do not depend on it.
-_BLOCK_ELEMENTS = 1 << 17
+# At 1 << 15 each of a block's few temporaries takes 256 KiB; on the
+# benchmark's scan, minimize and eval-fine requests this ran faster than
+# 1 << 16 or 1 << 17, with a lower peak memory.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 class GridTooLarge(Exception):
@@ -245,10 +251,11 @@ def _wedge(l: int, m: int) -> tuple[int, int]:
     return (l, m) if l <= 0 else (-l, -m)
 
 
-def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: CoarseGrid,
-                windows) -> np.ndarray:
-    """Wedge rows of the a-windows `windows` (each l <= 0), one row each.
+def _panel_rows(jobs) -> list[np.ndarray]:
+    """Wedge rows of several joints at one bin width and tail_epsilon, in one pass.
 
+    `jobs` holds one (state, coeffs, grid, windows) per joint, each window
+    l <= 0; the result holds one (len(windows), n_bins) array per joint.
     Row l holds the panel-quadrature cell probabilities of the columns
     m in [l, -l] and zeros elsewhere.  Each window's a-interval is clipped
     to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple,
@@ -256,22 +263,33 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
     gets a zero row.  Only the b-edges within K sigma_c of the span of the
     row's conditional means are evaluated; the slabs beyond stay 0.
 
-    The rows are computed together: rows with equal panel counts form a
-    group, whose rows share one band width, and each group is evaluated in
-    blocks of at most _BLOCK_ELEMENTS (rows, edges, nodes) elements, or one
-    row.  Every cell is a function of its own row alone, so the result does
-    not depend on the grouping or the block size.
+    The rows of every joint are stacked, each with its own sigma_a,
+    sigma_c, correlation, clip and edge table.  Blocks of rows with equal
+    panel counts, sorted by band width and padded to the widest, are
+    evaluated with at most _BLOCK_ELEMENTS (rows, edges, nodes) elements,
+    or one row.  Every cell is a function of its own row alone, so the
+    result does not depend on which joints share the pass, on the blocks
+    or on the block size.
     """
-    delta, lmax = grid.delta, grid.l_max
-    n_panels = _panel_count(delta, coeffs)
-    cut = max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
-    a_cut = cut * state.marginal_sigma
-    edges = grid.edges() / coeffs.sigma_conditional
+    grids = [grid for _, _, grid, _ in jobs]
+    delta = grids[0].delta
+    cut = max(_MIN_CUT, _coverage_multiple(grids[0].tail_epsilon))
     x1, wts = _GL16[0] + 1.0, _GL16[1]
-    windows = np.asarray(windows, dtype=int)
-    # Row i is written from its band start; the padding takes the zero
-    # columns that a block writes past a row narrower than the group's band.
-    rows = np.zeros((len(windows), 2 * grid.n_bins))
+    # per joint: correlation, sigma_c, cosh 2r, clip, panel count
+    rho, sc, c2r, a_cut, n_panels = np.array(
+        [(c.correlation, c.sigma_conditional, state.cosh_2r, cut * state.marginal_sigma,
+          _panel_count(delta, c)) for state, c, _, _ in jobs]).T
+    lmax = np.array([grid.l_max for grid in grids])
+    n_bins, n_edges = 2 * lmax + 1, 2 * lmax + 2
+    n_rows = np.array([len(windows) for *_, windows in jobs])
+    row_off, edge_off = np.cumsum(n_rows) - n_rows, np.cumsum(n_edges) - n_edges
+    # the edge tables of the joints, end to end: grid.edges() / sigma_c
+    i = np.arange(n_edges.sum()) - np.repeat(edge_off + lmax, n_edges)
+    edges = delta * (i - 0.5) / np.repeat(sc, n_edges)
+    # per row: its joint's parameters
+    joint = np.repeat(np.arange(len(jobs)), n_rows)
+    windows = np.concatenate([np.asarray(w, dtype=int) for *_, w in jobs])
+    rho, sc, c2r, a_cut, n_panels, lmax = (v[joint] for v in (rho, sc, c2r, a_cut, n_panels, lmax))
     centres = windows * delta
     lo = np.maximum(centres - 0.5 * delta, -a_cut)
     # A window wholly beyond the cut gets one panel of width 0: a zero row.
@@ -282,51 +300,79 @@ def _panel_rows(state: TmsvParams, coeffs: JointGaussianCoefficients, grid: Coar
     # Panel p of a row has the nodes lo + pw p + half (x + 1).  They increase
     # along the row and mu = rho a / sigma_c is monotone in them, so the
     # row's first and last node give the span of mu.
-    mu_lo, mu_hi = coeffs.correlation * np.array(
-        [lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]]) / coeffs.sigma_conditional
-    if coeffs.correlation < 0.0:
-        mu_lo, mu_hi = mu_hi, mu_lo
+    mu_lo, mu_hi = np.sort(rho * np.array(
+        [lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]]) / sc, axis=0)
+    s, last = np.empty_like(windows), np.empty_like(windows)
+    for e0, e1, r0, r1 in zip(*(v.tolist() for v in (edge_off, edge_off + n_edges,
+                                                     row_off, row_off + n_rows))):
+        s[r0:r1] = edges[e0:e1].searchsorted(mu_lo[r0:r1] - cut, side="right") - 1
+        last[r0:r1] = edges[e0:e1].searchsorted(mu_hi[r0:r1] + cut)
     # Band edges s..last, within the row's wedge edges j0..j1.
     j0, j1 = windows + lmax, lmax - windows + 1
-    s = np.maximum(np.minimum(edges.searchsorted(mu_lo - cut, side="right") - 1, j1), j0)
-    last = np.minimum(np.maximum(edges.searchsorted(mu_hi + cut), j0), j1)
+    s = np.maximum(np.minimum(s, j1), j0)
+    last = np.minimum(np.maximum(last, j0), j1)
     span = last - s
+    # Row i of a joint is written from its band start into a row twice the
+    # grid's width: the padding takes the zero columns that a block writes
+    # past a row narrower than the block's band.
+    row_size = 2 * n_bins
+    out_off = np.cumsum(n_rows * row_size) - n_rows * row_size
+    out = np.zeros(int((n_rows * row_size).sum()))
+    cell_at = out_off[joint] + (np.arange(len(joint)) - row_off[joint]) * row_size[joint] + s
+    band_at, band_end = edge_off[joint] + s, edge_off[joint] + last
+    # Rows in order of panel count, then band width.  A block takes the next
+    # rows of one panel count that fit in _BLOCK_ELEMENTS at the band width
+    # of its last and widest row, or one row.
+    order = np.flatnonzero(span > 0)
+    order = order[np.lexsort((span[order], counts[order]))]
+    counts_in_order, span_in_order = counts[order], span[order]
     chunk = np.getbufsize()
-    # Runs of rows with equal panel counts form the groups: in a joint, the
-    # window that the clip cuts, and all the others.
-    bounds = [0, *((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist(), len(counts)]
-    for g0, g1 in zip(bounds[:-1], bounds[1:]):
-        count = int(counts[g0])
-        b = int(span[g0:g1].max()) + 1  # edges per row, shared by the group
-        cols = np.arange(b)
-        per_block = max(1, _BLOCK_ELEMENTS // (b * _PANEL_ORDER * count))
-        for blk in (slice(i, min(i + per_block, g1)) for i in range(g0, g1, per_block)):
-            starts = lo[blk, None] + pw[blk, None] * np.arange(count)
-            nodes = starts[:, :, None] + half[blk, None, None] * x1
-            f = (marginal_pdf(state, nodes) * (half[blk, None, None] * wts)).reshape(len(nodes), -1)
-            mu = (coeffs.correlation * nodes / coeffs.sigma_conditional).reshape(len(nodes), -1)
-            # Past its band a row repeats its last edge, so its slabs there are 0.
-            band = edges[np.minimum(s[blk, None] + cols, last[blk, None])]
-            slabs = _normal_slabs(band[:, :, None] - mu[:, None, :])
-            # einsum sums up to np.getbufsize() nodes in one pass, but splits
-            # longer sums in a way that depends on the block's shape; fixed
-            # chunks of that length keep every cell independent of its block.
-            cells = np.einsum("ren,rn->re", slabs[..., :chunk], f[:, :chunk])
-            for n0 in range(chunk, f.shape[1], chunk):
-                cells += np.einsum("ren,rn->re", slabs[..., n0:n0 + chunk], f[:, n0:n0 + chunk])
-            rows[np.arange(blk.start, blk.stop)[:, None], s[blk, None] + cols[:-1]] = cells
-    return rows[:, :grid.n_bins]
+    first = 0
+    while first < len(order):
+        count = int(counts_in_order[first])
+        per_row = _PANEL_ORDER * count
+        # no more rows than this can fit
+        stop = min(counts_in_order.searchsorted(count, side="right"),
+                   first + _BLOCK_ELEMENTS // per_row + 1)
+        size = np.arange(1, stop - first + 1) * (span_in_order[first:stop] + 1) * per_row
+        last_row = first + max(1, int(size.searchsorted(_BLOCK_ELEMENTS, side="right")))
+        blk, cols = order[first:last_row], np.arange(span_in_order[last_row - 1] + 1)
+        first = last_row
+        starts = lo[blk, None] + pw[blk, None] * np.arange(count)
+        nodes = starts[:, :, None] + half[blk, None, None] * x1
+        f = (_marginal_density(nodes, c2r[blk, None, None])
+             * (half[blk, None, None] * wts)).reshape(len(blk), -1)
+        mu = (rho[blk, None, None] * nodes / sc[blk, None, None]).reshape(len(blk), -1)
+        # Past its band a row repeats its last edge, so its slabs there are 0.
+        band = edges[np.minimum(band_at[blk, None] + cols, band_end[blk, None])]
+        slabs = _normal_slabs(band[:, :, None] - mu[:, None, :])
+        # einsum sums up to np.getbufsize() nodes in one pass, but splits
+        # longer sums in a way that depends on the block's shape; fixed
+        # chunks of that length keep every cell independent of its block.
+        cells = np.einsum("ren,rn->re", slabs[..., :chunk], f[:, :chunk])
+        for n0 in range(chunk, f.shape[1], chunk):
+            cells += np.einsum("ren,rn->re", slabs[..., n0:n0 + chunk], f[:, n0:n0 + chunk])
+        out[cell_at[blk, None] + cols[:-1]] = cells
+    return [out[o:o + rows * size].reshape(rows, size)[:, :size // 2]
+            for o, rows, size in zip(out_off, n_rows, row_size)]
 
 
-def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
-                 tail_epsilon: float = DEFAULT_TAIL_EPSILON,
-                 method: str = PANEL_QUADRATURE) -> BinnedDistribution2D:
-    """Full matrix of 2D window probabilities for the joint homodyne law."""
-    grid = make_grid(state, delta, tail_epsilon)
-    coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
-    if method == PANEL_QUADRATURE:
+def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDistribution2D]:
+    """Panel-quadrature joints of many (state, phi_sum) points at one bin width.
+
+    All their wedge rows run through one _panel_rows pass.  Each joint is
+    bitwise the binned_joint of its point: the batch only schedules work.
+    """
+    points, jobs, grids = list(points), [], {}
+    for state, phi_sum in points:
+        if state.r not in grids:
+            grids[state.r] = make_grid(state, delta, tail_epsilon)
+        grid = grids[state.r]
+        jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grid,
+                     np.arange(-grid.l_max, 1)))
+    joints = []
+    for (state, phi_sum), (_, _, grid, _), wedge in zip(points, jobs, _panel_rows(jobs)):
         lmax = grid.l_max
-        wedge = _panel_rows(state, coeffs, grid, np.arange(-lmax, 1))
         # Each wedge entry stands for its orbit under (l, m) -> (m, l) and
         # (l, m) -> (-l, -m): 1 cell at the centre, 2 on m = +-l, 4 elsewhere.
         # Scaling by 2 or 4 is exact, so the correctly rounded fsum equals
@@ -334,20 +380,30 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
         i, j = np.nonzero(wedge)
         orbit_log2 = 2 - (j == i) - (i + j == 2 * lmax)
         captured_mass = math.fsum(np.ldexp(wedge[i, j], orbit_log2).tolist())
-        probs = np.zeros((grid.n_bins, grid.n_bins))
-        probs[:lmax + 1] = wedge
-        probs[lmax + 1:] = wedge[-2::-1, ::-1]  # p[l, m] = p[-l, -m]
+        probs = np.concatenate((wedge, wedge[-2::-1, ::-1]))  # p[l, m] = p[-l, -m]
         # Entries off the wedge are 0 and none is negative, so the maximum
         # copies the rows above onto their images under (l, m) -> (m, l).
-        probs = np.maximum(probs, probs.T)
-    elif method == RECTANGLE_CDF:
-        z = grid.edges() / coeffs.sigma_marginal
-        probs = _rectangle_cells(z, z, coeffs.correlation)
-        captured_mass = math.fsum(probs.ravel().tolist())
-    else:
+        joints.append(BinnedDistribution2D(
+            probs=np.maximum(probs, probs.T), captured_mass=captured_mass,
+            grid=grid, r=state.r, phi_sum=phi_sum, method=PANEL_QUADRATURE,
+        ))
+    return joints
+
+
+def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
+                 tail_epsilon: float = DEFAULT_TAIL_EPSILON,
+                 method: str = PANEL_QUADRATURE) -> BinnedDistribution2D:
+    """Full matrix of 2D window probabilities for the joint homodyne law."""
+    if method == PANEL_QUADRATURE:
+        return _binned_joints([(state, phi_sum)], delta, tail_epsilon)[0]
+    if method != RECTANGLE_CDF:
         raise ValueError(f"unknown method {method!r}")
+    grid = make_grid(state, delta, tail_epsilon)
+    coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
+    z = grid.edges() / coeffs.sigma_marginal
+    probs = _rectangle_cells(z, z, coeffs.correlation)
     return BinnedDistribution2D(
-        probs=probs, captured_mass=captured_mass,
+        probs=probs, captured_mass=math.fsum(probs.ravel().tolist()),
         grid=grid, r=state.r, phi_sum=phi_sum, method=method,
     )
 
@@ -359,7 +415,7 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     if method == PANEL_QUADRATURE:
         a, b = _wedge(l, m)
-        row = _panel_rows(TmsvParams(coeffs.r), coeffs, grid, [a])
+        (row,) = _panel_rows([(TmsvParams(coeffs.r), coeffs, grid, [a])])
         return float(row[0, b + grid.l_max])
     if method == RECTANGLE_CDF:
         z = grid.edges() / coeffs.sigma_marginal

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse_grain import DEFAULT_TAIL_EPSILON, BinnedDistribution2D, binned_joint
+from .coarse_grain import (
+    DEFAULT_TAIL_EPSILON, BinnedDistribution2D, _binned_joints, binned_joint, make_grid,
+)
 from .gaussian_core import TmsvParams
 
 # Bins carrying less than this are treated as empty: p ln p underflows
@@ -21,6 +23,9 @@ PROBABILITY_FLOOR = 1e-300
 
 _SUM_LO = 1.0 - 1e-6
 _SUM_HI = 1.0 + 1e-10
+# Cells of the joints that one batch of _s_qm_values holds at once.  Results
+# do not depend on it.
+_BATCH_CELLS = 1 << 18
 
 
 class InvalidDistribution(Exception):
@@ -99,3 +104,53 @@ def s_qm(state: TmsvParams, phi_sum: float, delta_bin: float,
     """
     dist = binned_joint(state, phi_sum, delta_bin, tail_epsilon)
     return conditional_entropy(dist).s_conditional
+
+
+def _entropy_terms(dists) -> list[EntropyTerms]:
+    """conditional_entropy of each joint, computed together.
+
+    The entries of every joint matrix and of its two marginals are checked
+    and their logarithms taken in one pass; each entropy is still its own
+    dot product, so every term is bitwise that of conditional_entropy.  If
+    a check fails, the joints are checked one at a time, and the first that
+    fails raises InvalidDistribution naming it.
+    """
+    parts = [p for d in dists for p in (d.probs.ravel(), d.marginal_a(), d.marginal_b())]
+    flat = np.concatenate(parts)
+    if not (np.all(np.isfinite(flat)) and np.all(flat >= 0.0)
+            and all(p.size and _SUM_LO <= float(p.sum()) <= _SUM_HI for p in parts)):
+        for d in dists:
+            try:
+                conditional_entropy(d)
+            except InvalidDistribution as exc:
+                raise InvalidDistribution(f"joint at r={d.r!r}, phi_sum={d.phi_sum!r}, "
+                                          f"Delta={d.grid.delta!r}: {exc}") from None
+    keep = flat > PROBABILITY_FLOOR
+    q = flat[keep]
+    del flat  # freed before the logarithms, so a big joint's peak stays at the kernel's
+    starts = np.cumsum([0] + [p.size for p in parts[:-1]])
+    ends = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp)).tolist()
+    log_q = np.log(q)
+    s = [float(-np.dot(q[a:b], log_q[a:b])) for a, b in zip([0, *ends], ends)]
+    return [EntropyTerms(*s[k:k + 3]) for k in range(0, len(s), 3)]
+
+
+def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
+    """s_qm at each (state, phi_sum) of `points`, bitwise.
+
+    The joints are built in batches of at most _BATCH_CELLS cells, or one
+    joint, each batch in one kernel pass, and dropped once their entropies
+    are taken.
+    """
+    points = list(points)
+    out, start, cells, n_bins = [], 0, 0, {}
+    for stop, (state, _) in enumerate(points, 1):
+        if state.r not in n_bins:
+            n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
+        cells += n_bins[state.r] ** 2
+        if cells >= _BATCH_CELLS or stop == len(points):
+            # no name holds the joints, so they are freed before the next batch
+            out += [terms.s_conditional for terms in _entropy_terms(
+                _binned_joints(points[start:stop], delta_bin, tail_epsilon))]
+            start, cells = stop, 0
+    return out

@@ -161,9 +161,12 @@ def marginal_pdf(state: TmsvParams, b):
 
     Independent of the measured phases.
     """
-    b = np.asarray(b, dtype=float)
-    c2r = state.cosh_2r
-    return np.exp(-b * b / c2r) / math.sqrt(math.pi * c2r)
+    return _marginal_density(np.asarray(b, dtype=float), state.cosh_2r)
+
+
+def _marginal_density(b: np.ndarray, cosh_2r):
+    """marginal_pdf at b for cosh(2r) = cosh_2r, a number or an array broadcast against b."""
+    return np.exp(-b * b / cosh_2r) / np.sqrt(math.pi * cosh_2r)
 
 
 def differential_entropies(state: TmsvParams, settings: PhaseSettings) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,8 +12,10 @@ from conftest import (
     HEADLINE_DELTA_BIN,
     HEADLINE_R,
 )
+from entrobell import bell, entropy
 from entrobell import (
     AngleGeometry,
+    InvalidDistribution,
     MinimizeOptions,
     SCAN_CSV_HEADER,
     TmsvParams,
@@ -243,3 +246,72 @@ def test_minimize_soundness():
     payload = res.to_dict()
     assert payload["kind"] == "minimize"
     assert payload["delta_star_over_pi"] == pytest.approx(res.delta_star / math.pi)
+
+
+# -- one kernel pass per request -------------------------------------------------
+
+@pytest.fixture
+def built(monkeypatch):
+    """(r, phi_sum) of every joint that scan and minimize build, one list per batch."""
+    batches = []
+    batched = entropy._binned_joints
+
+    def counted(batch, delta_bin, tail_epsilon):
+        batches.append([(state.r, phi_sum) for state, phi_sum in batch])
+        return batched(batch, delta_bin, tail_epsilon)
+
+    monkeypatch.setattr(entropy, "_binned_joints", counted)
+    return batches
+
+
+def test_scan_builds_each_distinct_joint_once(built):
+    r_vals, d_vals = np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 7)
+    res = scan(r_vals, d_vals, 2.0)
+    fold = bell._folded
+    wanted = {(r, fold(phase)) for r in r_vals for d in d_vals for phase in (d / 3.0, d)}
+    (batch,) = built
+    assert sorted(batch) == sorted(wanted)
+    # delta = 0 asks for S(0) twice, and some phase sums fold onto others
+    assert len(batch) < len({(r, phase) for r in r_vals for d in d_vals
+                             for phase in (d / 3.0, d)}) < 2 * res.d_qm.size
+    for i, r in enumerate(r_vals):
+        for j, d in enumerate(d_vals):
+            state = TmsvParams(r)
+            # bitwise the two-entropy form on the unbatched path, at the
+            # folded phase sums, and within roundoff of it at the others
+            assert res.d_qm[i, j] == 3.0 * s_qm(state, fold(d / 3.0), 2.0) \
+                - s_qm(state, fold(d), 2.0)
+            assert res.d_qm[i, j] == pytest.approx(
+                3.0 * s_qm(state, d / 3.0, 2.0) - s_qm(state, d, 2.0), abs=1e-13)
+
+
+def test_minimize_builds_each_coarse_joint_once(built):
+    res = minimize((0.0, 2.0), (0.0, math.pi), 6,
+                   options=MinimizeOptions(coarse_points=6, refine_starts=2))
+    d_grid = bell._coarse_deltas(0.0, math.pi, 6)
+    wanted = {(r, bell._folded(phase)) for r in np.linspace(0.0, 2.0, 6) for d in d_grid
+              for phase in (d / 3.0, d)}
+    coarse, *steps = built
+    assert sorted(coarse) == sorted(wanted)
+    assert len(coarse) < 2 * 6 * len(d_grid)
+    # each simplex step is one d_qm value, a batch of at most two joints;
+    # n_evaluations counts the d_qm values asked for, not the joints built
+    assert all(1 <= len(step) <= 2 for step in steps)
+    assert res.n_evaluations == 6 * len(d_grid) + len(steps) == 144
+
+
+def test_invalid_joint_in_a_batch_is_named(monkeypatch):
+    batched = entropy._binned_joints
+    off = []
+
+    def one_mass_off(batch, delta_bin, tail_epsilon):
+        joints = batched(batch, delta_bin, tail_epsilon)
+        off.append(joints[2])
+        joints[2] = dataclasses.replace(joints[2], probs=0.99 * joints[2].probs)
+        return joints
+
+    monkeypatch.setattr(entropy, "_binned_joints", one_mass_off)
+    with pytest.raises(InvalidDistribution, match="probabilities sum to") as exc:
+        scan([1.0], [0.3, 0.6, 0.9], 2.0)
+    (bad,) = off
+    assert f"joint at r={bad.r!r}, phi_sum={bad.phi_sum!r}, Delta=2.0: " in str(exc.value)

@@ -583,3 +583,31 @@ def test_unwritable_path_exits_2(flag, tmp_path, capsys):
     assert exit_code(EVAL_ARGV + [flag, str(tmp_path / "missing" / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("entrobell: cannot write output:")
+
+
+def test_cached_parser_gives_the_output_of_a_fresh_one(tmp_path, capsys):
+    # main reuses one parser per process; a sequence of calls on it, errors
+    # included, writes byte for byte what a freshly built parser writes
+    cfg = write_config(tmp_path, {"r_points": 2, "delta_points": 3, "delta_bin": 4.0})
+    sequence = [
+        ["scan", "--config", cfg, "--r-range", "0", "1", "--format", "csv"],
+        ["figure", "fig1", "--r-points", "0"],
+        ["figure", "fig1", "--r-range", "0", "1", "--r-points", "2", "--delta-points", "3"],
+        EVAL_ARGV + ["--format", "json", "--mutual-info"],
+    ]
+
+    def run(fresh):
+        outputs = []
+        for argv in sequence:
+            if fresh:
+                _build_parser.cache_clear()
+            code = exit_code(argv)
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    fresh = run(fresh=True)
+    assert _build_parser() is _build_parser()
+    # twice over, so that anything a call left in the parser shows in the next pass
+    cached = run(fresh=False) + run(fresh=False)
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0] * 2
+    assert cached == fresh * 2

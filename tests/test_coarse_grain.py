@@ -221,9 +221,9 @@ def test_joint_integrates_only_the_wedge_rows(monkeypatch):
     calls = []
     panel_rows = coarse_grain._panel_rows
 
-    def counted(state, coeffs, grid, windows):
-        calls.append(list(windows))
-        return panel_rows(state, coeffs, grid, windows)
+    def counted(jobs):
+        calls.extend(list(windows) for *_, windows in jobs)
+        return panel_rows(jobs)
 
     monkeypatch.setattr(coarse_grain, "_panel_rows", counted)
     joint = binned_joint(TmsvParams(1.0), 0.5, 0.5)
@@ -242,6 +242,37 @@ def test_panel_rows_block_size_invariant(monkeypatch, r, phi_sum, delta):
     one_row = binned_joint(state, phi_sum, delta)
     assert np.array_equal(one_row.probs, default.probs)
     assert one_row.captured_mass == default.captured_mass
+
+
+# One batch per bin width, each mixing r = 0 with larger r and phase sums
+# beyond pi/2 (negative correlation): at Delta = 100 every grid has one bin,
+# (0.5, 0.2, 50) has its outer window clipped, and (3, 1e-3, 1.5) has narrow
+# bands.
+@pytest.mark.parametrize("delta, points", [
+    (100.0, [(0.0, 0.3), (2.0, 2.0), (1.0, 0.0), (1.5, math.pi)]),
+    (50.0, [(0.5, 0.2), (0.0, 2.5), (2.0, 2.9), (2.0, 0.1), (1.0, 1.0)]),
+    (1.5, [(3.0, 1e-3), (0.0, 0.4), (1.2, 2.2), (2.0, 0.9), (3.0, 1e-3)]),
+])
+def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
+    points = [(TmsvParams(r), phi_sum) for r, phi_sum in points]
+    alone = [binned_joint(state, phi_sum, delta) for state, phi_sum in points]
+    if delta == 100.0:
+        assert {joint.grid.n_bins for joint in alone} == {1}
+
+    def assert_batch_is_alone(order):
+        batch = coarse_grain._binned_joints([points[k] for k in order], delta, 1e-12)
+        for k, joint in zip(order, batch):
+            assert np.array_equal(joint.probs, alone[k].probs)
+            assert joint.captured_mass == alone[k].captured_mass
+            assert (joint.r, joint.phi_sum, joint.grid) == (alone[k].r, alone[k].phi_sum,
+                                                            alone[k].grid)
+
+    order = list(range(len(points)))
+    assert_batch_is_alone(order)
+    assert_batch_is_alone(order[::-1])
+    assert_batch_is_alone(order[1::2] + order[::2])
+    monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", 1)  # one row per block
+    assert_batch_is_alone(order[::-1])
 
 
 def test_panel_count_follows_the_integrand():

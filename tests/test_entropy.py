@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entrobell import entropy
 from entrobell import (
     CoarseGrid,
     BinnedDistribution2D,
@@ -164,3 +165,21 @@ def test_discretization_law_small_bins():
 def test_wide_bins_lose_all_information():
     # a single bin swallowing the whole distribution has zero entropy
     assert s_qm(TmsvParams(0.5), 0.0, 60.0) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_batched_entropies_are_bitwise_conditional_entropy(monkeypatch):
+    # joints of several sizes, a hand-built one with empty and underflowing
+    # cells among them; each term is its joint's own dot product
+    joints = [binned_joint(TmsvParams(r), phi_sum, delta)
+              for r, phi_sum, delta in [(1.0, 0.5, 0.5), (0.0, 0.3, 100.0),
+                                        (3.0, 1e-3, 1.5), (1.2, 2.2, 2.0)]]
+    joints.insert(2, _manual_dist([[0.5, 0.0, 1e-310], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]]))
+    for order in (range(len(joints)), range(len(joints) - 1, -1, -1)):
+        batch = [joints[k] for k in order]
+        assert entropy._entropy_terms(batch) == [conditional_entropy(d) for d in batch]
+    # s_qm of a point is its joint's, whatever the batch size
+    points = [(TmsvParams(r), phi_sum) for r, phi_sum in [(0.5, 0.1), (1.5, 2.0), (0.0, 0.0)]]
+    expected = [s_qm(state, phi_sum, 1.5) for state, phi_sum in points]
+    assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
+    monkeypatch.setattr(entropy, "_BATCH_CELLS", 1)  # one joint per batch
+    assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
