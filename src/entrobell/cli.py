@@ -182,21 +182,28 @@ def _apply_config(parser, argv):
     several values, and a switch takes true or false.  Flags on the command
     line come later, so they win.
     """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
+    # the last --config value, in either spelling or abbreviated as argparse
+    # allows; an ambiguous or valueless one is left to the parser to reject
+    config = None
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            break
+        name, eq, value = tok.partition("=")
+        if len(name) > 2 and "--config".startswith(name):
+            config = value if eq else next(
+                (v for v in argv[i + 1:i + 2] if not v.startswith("-")), None)
     # the subcommand words ("eval", "figure fig1") lead argv
     n_words = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
     leaf = parser.subparser_map.get(argv[n_words - 1]) if n_words else None
-    if known.config is None or leaf is None:
+    if config is None or leaf is None:
         return parser.parse_args(argv)
     try:
-        with open(known.config, encoding="utf-8") as fh:
+        with open(config, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read config {known.config}: {exc}")
+        parser.error(f"cannot read config {config}: {exc}")
     if not isinstance(cfg, dict):
-        parser.error(f"config {known.config} must hold a JSON object")
+        parser.error(f"config {config} must hold a JSON object")
     # every flag of the leaf but --help
     flags = {a.dest: a for a in leaf._actions
              if a.option_strings and a.default is not argparse.SUPPRESS}
@@ -226,7 +233,8 @@ def _cmd_eval(args, parser) -> int:
         ev = evaluate(state, geometry, args.delta_bin, args.tail_epsilon)
     else:
         # the dumps are the four joints that the evaluation was computed from
-        ev, joints = _evaluate_geometry(state, geometry, args.delta_bin, args.tail_epsilon)
+        joints = []
+        ev = _evaluate_geometry(state, geometry, args.delta_bin, args.tail_epsilon, joints)
         for tag, dist in zip(_PAIR_TAGS, joints):
             with open(f"{args.dump_dist}.{tag}.csv", "w", encoding="utf-8") as fh:
                 dist.to_csv(fh)

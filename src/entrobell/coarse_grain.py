@@ -44,6 +44,11 @@ Two independent routes compute the probability of a 2D cell:
 
 The two must agree to 1e-10 absolute; they share no quadrature machinery.
 
+A joint depends on phi_sum only through its coefficients, which read it as
+cos phi_sum, sin^2 phi_sum, sin^2(phi_sum/2) and cos^2(phi_sum/2).  Each is
+even, and computed evenly, so the joint is bitwise even in phi_sum: the
+joint at -phi_sum is the joint at phi_sum, bit for bit, on both routes.
+
 Every normal slab Phi(z_hi) - Phi(z_lo), in the panel kernel and in the
 exact marginal windows of bin_prob_1d, has one form: Phi is evaluated once
 per edge as the signed tail h = sign(z) Phi(-|z|), and a slab is the

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse_grain import (
-    DEFAULT_TAIL_EPSILON, BinnedDistribution2D, _binned_joints, binned_joint, make_grid,
-)
+from .coarse_grain import DEFAULT_TAIL_EPSILON, BinnedDistribution2D, _binned_joints, make_grid
+# the benchmark's tracer test reads binned_joint here and in bell
+from .coarse_grain import binned_joint  # noqa: F401
 from .gaussian_core import TmsvParams
 
 # Bins carrying less than this are treated as empty: p ln p underflows
@@ -23,7 +23,7 @@ PROBABILITY_FLOOR = 1e-300
 
 _SUM_LO = 1.0 - 1e-6
 _SUM_HI = 1.0 + 1e-10
-# Cells of the joints that one batch of _s_qm_values holds at once.  Results
+# Cells of the joints that one batch of _joint_terms holds at once.  Results
 # do not depend on it.
 _BATCH_CELLS = 1 << 18
 
@@ -82,13 +82,10 @@ def conditional_entropy(dist: BinnedDistribution2D) -> EntropyTerms:
     """Joint, marginal, and conditional entropies of one binned joint matrix.
 
     Marginals come from summing the matrix itself; s_conditional is
-    S(A|B) = S(A,B) - S(B) and cannot go negative.
+    S(A|B) = S(A,B) - S(B) and cannot go negative.  A batch of one of
+    _entropy_terms.
     """
-    return EntropyTerms(
-        s_joint=shannon(dist.probs),
-        s_marginal_a=shannon(dist.marginal_a()),
-        s_marginal_b=shannon(dist.marginal_b()),
-    )
+    return _entropy_terms([dist])[0]
 
 
 def mutual_information(dist: BinnedDistribution2D) -> float:
@@ -100,28 +97,29 @@ def s_qm(state: TmsvParams, phi_sum: float, delta_bin: float,
     """Conditional entropy S(A|B) of the binned joint at phase sum phi_sum.
 
     Even in phi_sum, and non-negative for every parameter choice; the Bell
-    functional is built entirely from this quantity.
+    functional is built entirely from this quantity.  A batch of one of
+    _s_qm_values.
     """
-    dist = binned_joint(state, phi_sum, delta_bin, tail_epsilon)
-    return conditional_entropy(dist).s_conditional
+    return _s_qm_values([(state, phi_sum)], delta_bin, tail_epsilon)[0]
 
 
 def _entropy_terms(dists) -> list[EntropyTerms]:
-    """conditional_entropy of each joint, computed together.
+    """Joint and marginal entropies of each joint, computed together.
 
     The entries of every joint matrix and of its two marginals are checked
     and their logarithms taken in one pass; each entropy is still its own
-    dot product, so every term is bitwise that of conditional_entropy.  If
-    a check fails, the joints are checked one at a time, and the first that
-    fails raises InvalidDistribution naming it.
+    dot product, so every term is bitwise the shannon of its part.  If a
+    check fails, the parts are checked one joint at a time with shannon,
+    and the first joint that fails raises InvalidDistribution naming it.
     """
     parts = [p for d in dists for p in (d.probs.ravel(), d.marginal_a(), d.marginal_b())]
     flat = np.concatenate(parts)
     if not (np.all(np.isfinite(flat)) and np.all(flat >= 0.0)
             and all(p.size and _SUM_LO <= float(p.sum()) <= _SUM_HI for p in parts)):
-        for d in dists:
+        for k, d in enumerate(dists):
             try:
-                conditional_entropy(d)
+                for p in parts[3 * k:3 * k + 3]:
+                    shannon(p)
             except InvalidDistribution as exc:
                 raise InvalidDistribution(f"joint at r={d.r!r}, phi_sum={d.phi_sum!r}, "
                                           f"Delta={d.grid.delta!r}: {exc}") from None
@@ -135,12 +133,13 @@ def _entropy_terms(dists) -> list[EntropyTerms]:
     return [EntropyTerms(*s[k:k + 3]) for k in range(0, len(s), 3)]
 
 
-def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
-    """s_qm at each (state, phi_sum) of `points`, bitwise.
+def _joint_terms(points, delta_bin: float, tail_epsilon: float,
+                 joints: list | None = None) -> list[EntropyTerms]:
+    """conditional_entropy of the binned_joint at each (state, phi_sum) of `points`, bitwise.
 
     The joints are built in batches of at most _BATCH_CELLS cells, or one
     joint, each batch in one kernel pass, and dropped once their entropies
-    are taken.
+    are taken; if `joints` is a list, they are appended to it instead.
     """
     points = list(points)
     out, start, cells, n_bins = [], 0, 0, {}
@@ -149,8 +148,15 @@ def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
             n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
         cells += n_bins[state.r] ** 2
         if cells >= _BATCH_CELLS or stop == len(points):
-            # no name holds the joints, so they are freed before the next batch
-            out += [terms.s_conditional for terms in _entropy_terms(
-                _binned_joints(points[start:stop], delta_bin, tail_epsilon))]
+            batch = _binned_joints(points[start:stop], delta_bin, tail_epsilon)
+            out += _entropy_terms(batch)
+            if joints is not None:
+                joints += batch
+            del batch  # freed before the next batch is built
             start, cells = stop, 0
     return out
+
+
+def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
+    """s_qm at each (state, phi_sum) of `points`, bitwise, through _joint_terms."""
+    return [terms.s_conditional for terms in _joint_terms(points, delta_bin, tail_epsilon)]

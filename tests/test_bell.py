@@ -12,9 +12,10 @@ from conftest import (
     HEADLINE_DELTA_BIN,
     HEADLINE_R,
 )
-from entrobell import bell, entropy
+from entrobell import bell, coarse_grain, entropy
 from entrobell import (
     AngleGeometry,
+    EntropyTerms,
     InvalidDistribution,
     MinimizeOptions,
     SCAN_CSV_HEADER,
@@ -29,6 +30,7 @@ from entrobell import (
     s_qm,
     scan,
     scan_zero_delta,
+    shannon,
     __version__,
     write_json,
 )
@@ -149,6 +151,38 @@ def test_mutual_info_margin_reuses_the_four_joints():
            + aprime_b.mutual_information - ab.mutual_information)
     assert ev.mutual_info_margin == lhs - (apbp.s_marginal_a + ab_prime.s_marginal_b)
     assert evaluate_mutual_info(state, g, 1.5) == ev.mutual_info_margin
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.7])
+def test_evaluate_terms_are_the_pair_joints_entropies(theta):
+    # pairs at -phi share the joint at phi, yet every term is bitwise the
+    # entropies of its own pair's joint, on both entropy paths; delta > pi/2
+    # would show a pi - phi fold, which moves bits
+    state, g = TmsvParams(1.4), AngleGeometry(2.5, theta=theta)
+    joints = [binned_joint(state, s, 1.2) for s in g.pair_sums()]
+    ev = evaluate(state, g, 1.2)
+    assert ev.terms == tuple(conditional_entropy(joint) for joint in joints)
+    assert ev.terms == tuple(EntropyTerms(shannon(j.probs), shannon(j.marginal_a()),
+                                          shannon(j.marginal_b())) for j in joints)
+    assert evaluate_general(state, g.theta, g.theta_prime, g.phi, g.phi_prime, 1.2) \
+        == dataclasses.replace(ev, delta=None)
+
+
+# at theta = 0 the pair sums are d, -d, delta - 2d and delta, d = delta/3;
+# delta - 2d has the bits of d at delta = 3 but not at 0.9
+@pytest.mark.parametrize("delta, phase_sums", [(0.9, [0.9 / 3, 0.9 - 2 * 0.9 / 3, 0.9]),
+                                               (3.0, [1.0, 3.0])])
+def test_evaluate_builds_each_distinct_joint_once(monkeypatch, delta, phase_sums):
+    calls = []
+    panel_rows = coarse_grain._panel_rows
+
+    def counted(jobs):
+        calls.append([coeffs.phi_sum for _, coeffs, _, _ in jobs])
+        return panel_rows(jobs)
+
+    monkeypatch.setattr(coarse_grain, "_panel_rows", counted)
+    evaluate(TmsvParams(1.0), AngleGeometry(delta), 1.5)
+    assert calls == [phase_sums]
 
 
 # -- scans ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from entrobell import entropy
 from entrobell.cli import _apply_config, _build_parser, main
 from entrobell.coarse_grain import binned_joint
 from entrobell.experiment_sim import sample_pairs
@@ -113,27 +114,28 @@ def test_dump_dist_writes_four_pair_files(tmp_path):
 
 
 def test_dump_dist_reuses_the_four_joints(tmp_path, monkeypatch):
-    # the dumps are the joints of the evaluation, built once each, and equal
-    # to the joints of the four pair phase sums
+    # the dumps are the joints of the evaluation: one kernel pass builds the
+    # joint of each distinct |phase sum| once, and each dump equals the joint
+    # of its own pair's phase sum
     state, geometry = TmsvParams(1.2), AngleGeometry(0.9, theta=0.3)
     expected = {}
     for tag, phs in zip(("ab_prime", "aprime_bprime", "aprime_b", "ab"), geometry.pair_sums()):
         buf = io.StringIO()
         binned_joint(state, phs, 1.5).to_csv(buf)
         expected[tag] = buf.getvalue()
-    calls = []
+    batches = []
+    batched = entropy._binned_joints
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return binned_joint(*args, **kwargs)
+    def counted(points, delta_bin, tail_epsilon):
+        batches.append([phi_sum for _, phi_sum in points])
+        return batched(points, delta_bin, tail_epsilon)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("entrobell") and getattr(module, "binned_joint", None) is binned_joint:
-            monkeypatch.setattr(module, "binned_joint", counted)
+    monkeypatch.setattr(entropy, "_binned_joints", counted)
     prefix = tmp_path / "joint"
     payload = run_json(["eval", "--r", "1.2", "--delta", "0.9", "--theta", "0.3",
                         "--Delta", "1.5", "--dump-dist", str(prefix)], tmp_path)
-    assert len(calls) == 4
+    assert batches == [list(dict.fromkeys(abs(s) for s in geometry.pair_sums()))]
+    assert len(batches[0]) < 4
     assert payload["d_qm"] == evaluate(state, geometry, 1.5).d_qm
     for tag, text in expected.items():
         assert (tmp_path / f"joint.{tag}.csv").read_text() == text
@@ -152,6 +154,23 @@ def test_flags_override_config(tmp_path):
     cfg.write_text(json.dumps({"r": 0.8, "delta": 0.5, "delta_bin": 2.0}))
     payload = run_json(["eval", "--config", str(cfg), "--r", "1.2"], tmp_path)
     assert payload["r"] == 1.2
+
+
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+def test_config_spellings(spelling, tmp_path):
+    # both argparse spellings, and an abbreviation argparse accepts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 0.8, "delta": 0.5, "delta_bin": 2.0}))
+    payload = run_json(["eval"] + [tok.format(cfg) for tok in spelling], tmp_path)
+    assert (payload["r"], payload["delta"], payload["Delta"]) == (0.8, 0.5, 2.0)
+
+
+def test_ambiguous_config_abbreviation_exits_2(tmp_path, capsys):
+    # in minimize, --co could be --coarse-points or --config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta_bin": 30.0}))
+    assert exit_code(["minimize", "--co", str(cfg)]) == 2
+    assert "ambiguous option: --co" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_key(tmp_path):

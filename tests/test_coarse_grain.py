@@ -296,6 +296,23 @@ def test_joint_matrix_reflection():
                        rtol=0, atol=1e-14)
 
 
+@given(r=st.floats(min_value=0.0, max_value=5.0, allow_nan=False), ph=_phi,
+       width=st.floats(min_value=0.2, max_value=3.0, allow_nan=False))
+def test_joint_is_bitwise_even_in_the_phase_sum(r, ph, width):
+    # coefficients reads phi_sum through cos, sin^2 and the half-angle
+    # squares only, so -phi_sum gives the same bits; Delta is a multiple of
+    # sigma_a, which keeps the grid small up to r = 5
+    state = TmsvParams(r)
+    plus, minus = (coefficients(state, PhaseSettings(0.0, s)) for s in (ph, -ph))
+    assert minus.phi_sum == -ph
+    assert ({k: v.hex() for k, v in vars(minus).items() if k != "phi_sum"}
+            == {k: v.hex() for k, v in vars(plus).items() if k != "phi_sum"})
+    delta = width * state.marginal_sigma
+    joint_plus, joint_minus = (binned_joint(state, s, delta) for s in (ph, -ph))
+    assert joint_minus.probs.tobytes() == joint_plus.probs.tobytes()
+    assert joint_minus.captured_mass == joint_plus.captured_mass
+
+
 def test_joint_factorizes_at_zero_squeezing():
     state = TmsvParams(0.0)
     grid = make_grid(state, 1.0)

@@ -174,12 +174,22 @@ def test_batched_entropies_are_bitwise_conditional_entropy(monkeypatch):
               for r, phi_sum, delta in [(1.0, 0.5, 0.5), (0.0, 0.3, 100.0),
                                         (3.0, 1e-3, 1.5), (1.2, 2.2, 2.0)]]
     joints.insert(2, _manual_dist([[0.5, 0.0, 1e-310], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]]))
+    alone = [EntropyTerms(shannon(d.probs), shannon(d.marginal_a()), shannon(d.marginal_b()))
+             for d in joints]
     for order in (range(len(joints)), range(len(joints) - 1, -1, -1)):
         batch = [joints[k] for k in order]
-        assert entropy._entropy_terms(batch) == [conditional_entropy(d) for d in batch]
+        assert entropy._entropy_terms(batch) == [alone[k] for k in order]
+    assert [conditional_entropy(d) for d in joints] == alone
     # s_qm of a point is its joint's, whatever the batch size
     points = [(TmsvParams(r), phi_sum) for r, phi_sum in [(0.5, 0.1), (1.5, 2.0), (0.0, 0.0)]]
     expected = [s_qm(state, phi_sum, 1.5) for state, phi_sum in points]
     assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
     monkeypatch.setattr(entropy, "_BATCH_CELLS", 1)  # one joint per batch
     assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
+
+
+def test_conditional_entropy_names_the_joint_it_rejects():
+    d = _manual_dist(np.full((3, 3), 0.99 / 9))
+    with pytest.raises(InvalidDistribution, match=r"^joint at r=0\.0, phi_sum=0\.0, "
+                                                  r"Delta=1\.0: probabilities sum to"):
+        conditional_entropy(d)
