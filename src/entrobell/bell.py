@@ -13,14 +13,15 @@ reduces, because each term depends only on the phase sum of its setting
 pair, to  d_qm = 3 S_qm(delta/3) - S_qm(delta).  A negative value
 certifies that no noncontextual joint assignment reproduces the binned
 statistics.  This module evaluates the functional, scans it over parameter
-grids, and minimises it over (r, delta).
+grids, and minimises it over (r, delta).  It only lists the phase sums each
+value reads; entropy._joint_terms decides which of them share a joint.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -45,6 +46,12 @@ def _write_scan_csv(fh, rows) -> None:
     fh.write(SCAN_CSV_HEADER + "\n")
     for row in rows:
         fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+
+
+def _pair_sums(theta: float, theta_prime: float,
+               phi: float, phi_prime: float) -> tuple[float, float, float, float]:
+    """Phase sums of the pairs (A,B'), (A',B'), (A',B), (A,B)."""
+    return (theta + phi_prime, theta_prime + phi_prime, theta_prime + phi, theta + phi)
 
 
 def _chained(terms: tuple[EntropyTerms, EntropyTerms, EntropyTerms, EntropyTerms]) -> float:
@@ -79,12 +86,7 @@ class AngleGeometry:
 
     def pair_sums(self) -> tuple[float, float, float, float]:
         """Phase sums of the pairs (A,B'), (A',B'), (A',B), (A,B)."""
-        return (
-            self.theta + self.phi_prime,
-            self.theta_prime + self.phi_prime,
-            self.theta_prime + self.phi,
-            self.theta + self.phi,
-        )
+        return _pair_sums(self.theta, self.theta_prime, self.phi, self.phi_prime)
 
 
 @dataclass(frozen=True)
@@ -167,25 +169,16 @@ def _evaluate_with_joints(state: TmsvParams, theta: float, theta_prime: float,
                           phi: float, phi_prime: float, delta_bin: float,
                           tail_epsilon: float, delta: float | None = None,
                           joints: list | None = None) -> BellEvaluation:
-    """`evaluate_general`, building each distinct joint once.
+    """`evaluate_general`, with the four pair joints in one _joint_terms call.
 
-    The joint is bitwise even in the phase sum, so the pairs are keyed by
-    its magnitude, and the distinct joints go through one _joint_terms call.
     If `joints` is a list, it receives the joints of (A,B'), (A',B'),
     (A',B) and (A,B), each carrying its own phase sum.
     """
-    sums = (theta + phi_prime, theta_prime + phi_prime, theta_prime + phi, theta + phi)
-    keys = list(dict.fromkeys(abs(s) for s in sums))
-    built = None if joints is None else []
-    terms = dict(zip(keys, _joint_terms([(state, k) for k in keys], delta_bin, tail_epsilon,
-                                        built)))
-    if joints is not None:
-        # a pair at -phi gets the joint at phi, sharing its probs
-        joints += [replace(built[keys.index(abs(s))], phi_sum=s) for s in sums]
+    sums = _pair_sums(theta, theta_prime, phi, phi_prime)
     return BellEvaluation(
         r=state.r, delta_bin=delta_bin, tail_epsilon=tail_epsilon,
         theta=theta, theta_prime=theta_prime, phi=phi, phi_prime=phi_prime,
-        terms=tuple(terms[abs(s)] for s in sums),
+        terms=tuple(_joint_terms([(state, s) for s in sums], delta_bin, tail_epsilon, joints)),
         grid_l_max=make_grid(state, delta_bin, tail_epsilon).l_max, delta=delta,
     )
 
@@ -204,19 +197,12 @@ def evaluate_general(state: TmsvParams, theta: float, theta_prime: float,
                                  delta_bin, tail_epsilon)
 
 
-def _evaluate_geometry(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
-                       tail_epsilon: float, joints: list | None = None) -> BellEvaluation:
-    """`evaluate`; `joints`, if a list, receives the four pair joints it was computed from."""
-    return _evaluate_with_joints(
-        state, geometry.theta, geometry.theta_prime, geometry.phi,
-        geometry.phi_prime, delta_bin, tail_epsilon, geometry.delta, joints,
-    )
-
-
 def evaluate(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
              tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> BellEvaluation:
     """Chained combination for the one-parameter angle family."""
-    return _evaluate_geometry(state, geometry, delta_bin, tail_epsilon)
+    g = geometry
+    return _evaluate_with_joints(state, g.theta, g.theta_prime, g.phi, g.phi_prime,
+                                 delta_bin, tail_epsilon, g.delta)
 
 
 def evaluate_mutual_info(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
@@ -247,16 +233,15 @@ def _folded(phase: float) -> float:
 
 
 def _d_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
-    """d_qm_value at each (r, delta) of `points`, building each distinct joint once.
+    """d_qm_value at each (r, delta) of `points`, in one _s_qm_values call.
 
-    Phase sums are folded into [0, pi/2] first, so S(pi - phi) and S(phi)
-    share one joint.
+    Phase sums are folded into [0, pi/2] first, so that S(pi - phi) and
+    S(phi) share one joint.
     """
-    keys = list(dict.fromkeys((r, _folded(phase))
-                              for r, delta in points for phase in (delta / 3.0, delta)))
-    s = dict(zip(keys, _s_qm_values([(TmsvParams(r), phase) for r, phase in keys],
-                                    delta_bin, tail_epsilon)))
-    return [3.0 * s[r, _folded(delta / 3.0)] - s[r, _folded(delta)] for r, delta in points]
+    s = _s_qm_values([(TmsvParams(r), _folded(phase))
+                      for r, delta in points for phase in (delta / 3.0, delta)],
+                     delta_bin, tail_epsilon)
+    return [3.0 * s_third - s_full for s_third, s_full in zip(s[::2], s[1::2])]
 
 
 @dataclass(frozen=True)

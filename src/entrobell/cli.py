@@ -21,9 +21,8 @@ from ._version import __version__
 from .bell import (
     AngleGeometry,
     MinimizeOptions,
-    _evaluate_geometry,
+    _evaluate_with_joints,
     _write_scan_csv,
-    evaluate,
     minimize,
     scan,
     scan_zero_delta,
@@ -124,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the self-check suite")
     p_val.add_argument("--quick", action="store_true",
                        help="trimmed suite, finishes in seconds")
-    p_val.add_argument("--perturb-norm", type=float, default=0.0,
-                       help="fault-injection offset for the normalization check")
     _add_common(p_val, ("text", "json"), tail_epsilon=False)
 
     p_sam = sub.add_parser("sample", help="finite-shot estimate of d_qm")
@@ -227,17 +224,14 @@ _PAIR_TAGS = ("ab_prime", "aprime_bprime", "aprime_b", "ab")
 
 def _cmd_eval(args, parser) -> int:
     delta = args.delta if args.delta_pi is None else args.delta_pi * math.pi
-    state = TmsvParams(args.r)
-    geometry = AngleGeometry(delta=delta, theta=args.theta)
-    if args.dump_dist is None:
-        ev = evaluate(state, geometry, args.delta_bin, args.tail_epsilon)
-    else:
-        # the dumps are the four joints that the evaluation was computed from
-        joints = []
-        ev = _evaluate_geometry(state, geometry, args.delta_bin, args.tail_epsilon, joints)
-        for tag, dist in zip(_PAIR_TAGS, joints):
-            with open(f"{args.dump_dist}.{tag}.csv", "w", encoding="utf-8") as fh:
-                dist.to_csv(fh)
+    g = AngleGeometry(delta=delta, theta=args.theta)
+    # the dumps are the four joints that the evaluation was computed from
+    joints = None if args.dump_dist is None else []
+    ev = _evaluate_with_joints(TmsvParams(args.r), g.theta, g.theta_prime, g.phi, g.phi_prime,
+                               args.delta_bin, args.tail_epsilon, delta, joints)
+    for tag, dist in zip(_PAIR_TAGS, joints or ()):
+        with open(f"{args.dump_dist}.{tag}.csv", "w", encoding="utf-8") as fh:
+            dist.to_csv(fh)
     payload = ev.to_dict()
     if args.mutual_info:
         payload["mutual_info_margin"] = ev.mutual_info_margin
@@ -311,7 +305,7 @@ def _cmd_minimize(args, parser) -> int:
 
 
 def _cmd_validate(args, parser) -> int:
-    results = run_checks(quick=args.quick, perturb_norm=args.perturb_norm)
+    results = run_checks(quick=args.quick)
     failed = [res.name for res in results if not res.passed]
     with _sink(args.output) as fh:
         if args.format == "json":

@@ -4,11 +4,14 @@ All conditional quantities are formed from one joint matrix and the
 marginals obtained by summing that same matrix.  Mixing an analytically
 binned marginal with a numerically binned joint would break the guarantee
 S(A|B) = S(A,B) - S(B) >= 0 at roundoff level, so it is never done here.
+
+_joint_terms is the one place that decides which requested joints are the
+same: a joint is keyed by (r, |phi_sum|), as it is bitwise even in phi_sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,24 +140,37 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
                  joints: list | None = None) -> list[EntropyTerms]:
     """conditional_entropy of the binned_joint at each (state, phi_sum) of `points`, bitwise.
 
-    The joints are built in batches of at most _BATCH_CELLS cells, or one
-    joint, each batch in one kernel pass, and dropped once their entropies
-    are taken; if `joints` is a list, they are appended to it instead.
+    The one place that decides which points share a joint: the joint is
+    bitwise even in phi_sum, so each (r, |phi_sum|) is built once, at the
+    first phi_sum given for it.  The joints are built in batches of at most
+    _BATCH_CELLS cells, or one joint, each batch in one kernel pass, and
+    dropped once their entropies are taken; if `joints` is a list, it
+    receives one joint per point instead, carrying that point's phi_sum.
     """
     points = list(points)
-    out, start, cells, n_bins = [], 0, 0, {}
-    for stop, (state, _) in enumerate(points, 1):
+    keys = [(state.r, abs(phi_sum)) for state, phi_sum in points]
+    index, distinct = {}, []
+    for key, point in zip(keys, points):
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(point)
+    terms, built, start, cells, n_bins = [], [], 0, 0, {}
+    for stop, (state, _) in enumerate(distinct, 1):
         if state.r not in n_bins:
             n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
         cells += n_bins[state.r] ** 2
-        if cells >= _BATCH_CELLS or stop == len(points):
-            batch = _binned_joints(points[start:stop], delta_bin, tail_epsilon)
-            out += _entropy_terms(batch)
+        if cells >= _BATCH_CELLS or stop == len(distinct):
+            batch = _binned_joints(distinct[start:stop], delta_bin, tail_epsilon)
+            terms += _entropy_terms(batch)
             if joints is not None:
-                joints += batch
+                built += batch
             del batch  # freed before the next batch is built
             start, cells = stop, 0
-    return out
+    at = [index[key] for key in keys]
+    if joints is not None:
+        # a point at -phi_sum gets the joint built at phi_sum, sharing its probs
+        joints += [replace(built[i], phi_sum=phi_sum) for i, (_, phi_sum) in zip(at, points)]
+    return [terms[i] for i in at]
 
 
 def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:

@@ -27,6 +27,10 @@ _BLOCK = 1 << 16
 # variance at small occupancy, resampling the contingency table does.
 DEFAULT_BOOTSTRAP = 200
 
+# Most bootstrap resamples, 50 times the default: the estimates are held in
+# one array, and each resample redraws all four tables.
+_MAX_BOOTSTRAP = 10_000
+
 # Most shots per setting that sample_pairs draws, ten times the largest count
 # the scripts and the benchmark use: at 16 bytes a shot, one batch is 160 MB.
 _MAX_SHOTS = 10_000_000
@@ -158,8 +162,9 @@ def empirical_d_qm(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
     independent stream.  The error bar is the standard deviation of the
     estimate over multinomial resamples of the four contingency tables.
     """
-    if n_per_setting < 10 ** 3 or n_bootstrap < 2:
-        raise ValueError("need at least 1000 shots per setting and 2 bootstrap resamples")
+    if n_per_setting < 10 ** 3 or not 2 <= n_bootstrap <= _MAX_BOOTSTRAP:
+        raise ValueError("need at least 1000 shots per setting and between 2 and "
+                         f"{_MAX_BOOTSTRAP} bootstrap resamples")
     sums = geometry.pair_sums()
     tables = [
         bin_counts(sample_pairs(state, phs, n_per_setting, seed, setting_index=i),

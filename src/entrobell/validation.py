@@ -44,12 +44,8 @@ def _finish(name: str, t0: float, passed: bool, detail: str) -> CheckResult:
                        seconds=time.perf_counter() - t0)
 
 
-def check_normalization(quick: bool = False, perturb_norm: float = 0.0) -> CheckResult:
-    """Coefficient identity pi/sqrt(v^2-w^2) = norm_z and captured mass near 1.
-
-    perturb_norm injects an artificial offset into the measured mass so the
-    check's ability to fail can itself be exercised.
-    """
+def check_normalization(quick: bool = False) -> CheckResult:
+    """Coefficient identity pi/sqrt(v^2-w^2) = norm_z and captured mass near 1."""
     t0 = time.perf_counter()
     worst_id = 0.0
     for r in np.linspace(0.0, 4.0, 9 if quick else 41):
@@ -64,7 +60,7 @@ def check_normalization(quick: bool = False, perturb_norm: float = 0.0) -> Check
     worst_mass = 0.0
     for r, ph, db in cases:
         dist = binned_joint(TmsvParams(r), ph, db)
-        worst_mass = max(worst_mass, abs(dist.captured_mass + perturb_norm - 1.0))
+        worst_mass = max(worst_mass, abs(dist.captured_mass - 1.0))
     ok = worst_id <= 1e-12 and worst_mass <= 2e-11
     return _finish("normalization", t0, ok,
                    f"coefficient identity off by {worst_id:.2e}, "
@@ -204,10 +200,10 @@ def check_marginal_consistency(quick: bool = False) -> CheckResult:
                    f"worst row-sum vs direct-bin gap {worst:.2e}")
 
 
-def run_checks(quick: bool = False, perturb_norm: float = 0.0) -> list[CheckResult]:
+def run_checks(quick: bool = False) -> list[CheckResult]:
     """Run the suite; quick mode trims sample counts to finish in seconds."""
     return [
-        check_normalization(quick, perturb_norm),
+        check_normalization(quick),
         check_fock_oracle(quick),
         check_method_agreement(quick),
         check_entropy_bounds(quick),

@@ -319,6 +319,24 @@ def test_scan_builds_each_distinct_joint_once(built):
                 3.0 * s_qm(state, d / 3.0, 2.0) - s_qm(state, d, 2.0), abs=1e-13)
 
 
+def test_scan_over_negative_deltas_builds_each_phase_magnitude_once(built):
+    r_vals, d_vals = np.linspace(0.0, 1.0, 2), np.linspace(-3.0, 3.0, 7)
+    res = scan(r_vals, d_vals, 2.0)
+    wanted = {(r, abs(bell._folded(phase))) for r in r_vals for d in d_vals
+              for phase in (d / 3.0, d)}
+    (batch,) = built
+    assert sorted((r, abs(phase)) for r, phase in batch) == sorted(wanted)
+    # delta = -1 and 1 read the same two joints; the others fold differently
+    assert res.d_qm[:, 2].tolist() == res.d_qm[:, 4].tolist()
+    np.testing.assert_allclose(res.d_qm, res.d_qm[:, ::-1], rtol=0, atol=1e-13)
+
+
+def test_zero_offset_scan_builds_each_joint_once_per_column(built):
+    res = scan_zero_delta([0.5, 1.0, 0.5, 0.5], [2.0, 4.0])
+    assert built == [[(0.5, 0.0), (1.0, 0.0)]] * 2
+    assert res.d_qm[0].tolist() == res.d_qm[2].tolist() == res.d_qm[3].tolist()
+
+
 def test_minimize_builds_each_coarse_joint_once(built):
     res = minimize((0.0, 2.0), (0.0, math.pi), 6,
                    options=MinimizeOptions(coarse_points=6, refine_starts=2))

@@ -1,5 +1,6 @@
 """Command-line surface: formats, config merging, exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrobell import entropy
+from entrobell import entropy, validation
 from entrobell.cli import _apply_config, _build_parser, main
 from entrobell.coarse_grain import binned_joint
 from entrobell.experiment_sim import sample_pairs
@@ -235,11 +236,18 @@ def test_validate_quick_passes(tmp_path):
     assert "/8 checks passed" in text
 
 
-def test_validate_perturbed_norm_fails(tmp_path, capsys):
-    code = main(["validate", "--quick", "--perturb-norm", "1e-3",
-                 "--output", str(tmp_path / "val.txt")])
+def test_validate_perturbed_norm_fails(tmp_path, capsys, monkeypatch):
+    # joints whose captured mass is off by 1e-3 fail the normalization check alone
+    exact = validation.binned_joint
+
+    def off_by_1e3(*args, **kwargs):
+        dist = exact(*args, **kwargs)
+        return dataclasses.replace(dist, captured_mass=dist.captured_mass + 1e-3)
+
+    monkeypatch.setattr(validation, "binned_joint", off_by_1e3)
+    code = main(["validate", "--quick", "--output", str(tmp_path / "val.txt")])
     assert code == 1
-    assert "normalization" in capsys.readouterr().err
+    assert capsys.readouterr().err == "failed checks: normalization\n"
 
 
 def test_sample_shot_dump(tmp_path):
@@ -499,6 +507,8 @@ def test_extreme_squeezing_exits_3(argv, capsys):
     ["minimize", "--Delta", "6", "--coarse-points", "0"],
     SAMPLE_ARGV[:-1] + ["1"],
     SAMPLE_ARGV[:-1] + ["0"],
+    SAMPLE_ARGV[:-1] + ["10001"],
+    SAMPLE_ARGV[:-1] + [str(10 ** 12)],
 ])
 def test_empty_or_negative_counts_exit_2(argv, capsys):
     assert exit_code(argv) == 2

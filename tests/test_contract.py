@@ -5,7 +5,7 @@ import json
 import pytest
 
 import entrobell
-from entrobell.cli import main
+from entrobell.cli import _build_parser, main
 
 PUBLIC_NAMES = [
     "AngleGeometry", "BellEvaluation", "BinnedDistribution1D", "BinnedDistribution2D",
@@ -38,6 +38,25 @@ SAMPLE_KEYS = {"version", "kind", "r", "delta", "Delta", "n_per_setting", "seed"
 VALIDATE_KEYS = {"version", "quick", "checks", "failed"}
 CHECK_KEYS = {"name", "passed", "detail", "seconds"}
 
+# the flags of each subcommand leaf, --help aside: a knob is added or removed here first
+COMMON_FLAGS = {"--config", "--format", "--output"}
+FLAGS = {
+    "eval": COMMON_FLAGS | {"--r", "--delta", "--delta-pi", "--Delta", "--theta",
+                            "--mutual-info", "--dump-dist", "--tail-epsilon"},
+    "scan": COMMON_FLAGS | {"--Delta", "--r-range", "--r-points", "--delta-range",
+                            "--delta-points", "--tail-epsilon"},
+    "minimize": COMMON_FLAGS | {"--Delta", "--r-range", "--delta-range", "--coarse-points",
+                                "--refine-starts", "--tail-epsilon"},
+    "validate": COMMON_FLAGS | {"--quick"},
+    "sample": COMMON_FLAGS | {"--r", "--n", "--seed", "--delta", "--delta-pi", "--Delta",
+                              "--no-miller-madow", "--bootstrap"},
+    "shots": COMMON_FLAGS | {"--r", "--n", "--seed", "--phi-sum"},
+    "fig1": COMMON_FLAGS | {"--Delta", "--r-range", "--r-points", "--delta-points",
+                            "--tail-epsilon"},
+    "fig2": COMMON_FLAGS | {"--r-range", "--r-points", "--Delta-range", "--Delta-points",
+                            "--tail-epsilon"},
+}
+
 
 def run_json(argv, tmp_path):
     out = tmp_path / "out.json"
@@ -50,6 +69,13 @@ def test_public_names_are_frozen_and_resolve():
     assert len(set(entrobell.__all__)) == len(entrobell.__all__)
     for name in PUBLIC_NAMES:
         assert getattr(entrobell, name) is not None
+
+
+def test_flag_sets_are_frozen():
+    leaves = _build_parser().subparser_map
+    assert {name: {flag for action in leaf._actions if action.dest != "help"
+                   for flag in action.option_strings}
+            for name, leaf in leaves.items()} == FLAGS
 
 
 @pytest.mark.parametrize("extra, keys", [

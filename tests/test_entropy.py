@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entrobell import entropy
+from entrobell import coarse_grain, entropy
 from entrobell import (
     CoarseGrid,
     BinnedDistribution2D,
@@ -186,6 +186,44 @@ def test_batched_entropies_are_bitwise_conditional_entropy(monkeypatch):
     assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
     monkeypatch.setattr(entropy, "_BATCH_CELLS", 1)  # one joint per batch
     assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
+
+
+def test_joint_terms_builds_each_r_and_phase_magnitude_once(monkeypatch):
+    # the joint is bitwise even in phi_sum: each (r, |phi_sum|) is built once,
+    # at the first phi_sum given for it, and every point keeps its own term and dump
+    s, s2 = TmsvParams(1.0), TmsvParams(0.6)
+    points = [(s, 0.4), (s, -0.4), (s, 0.4), (s2, -0.7)]
+    expected = [conditional_entropy(binned_joint(state, phi_sum, 1.5))
+                for state, phi_sum in points]
+    batches = []
+    batched = entropy._binned_joints
+
+    def counted(batch, delta_bin, tail_epsilon):
+        batches.append([phi_sum for _, phi_sum in batch])
+        return batched(batch, delta_bin, tail_epsilon)
+
+    monkeypatch.setattr(entropy, "_binned_joints", counted)
+    joints = []
+    assert entropy._joint_terms(points, 1.5, 1e-12, joints) == expected
+    assert batches == [[0.4, -0.7]]
+    assert [(d.r, d.phi_sum) for d in joints] == [(state.r, phi) for state, phi in points]
+    assert joints[0].probs is joints[1].probs is joints[2].probs
+    assert joints[3].probs is not joints[0].probs
+
+
+def test_s_qm_builds_its_joint_at_the_phase_sum_given(monkeypatch):
+    # a one-point call runs the kernel at -phi, so the evenness checks compare
+    # two kernel runs rather than one joint with itself
+    seen = []
+    rows = coarse_grain._panel_rows
+
+    def recorded(jobs):
+        seen.extend(coeffs.phi_sum for _, coeffs, _, _ in jobs)
+        return rows(jobs)
+
+    monkeypatch.setattr(coarse_grain, "_panel_rows", recorded)
+    s_qm(TmsvParams(1.0), -0.4, 1.5)
+    assert seen == [-0.4]
 
 
 def test_conditional_entropy_names_the_joint_it_rejects():
