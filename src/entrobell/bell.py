@@ -215,28 +215,31 @@ def d_qm_value(state: TmsvParams, delta: float, delta_bin: float,
                tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> float:
     """d_qm = 3 S_qm(delta/3) - S_qm(delta), the reduced two-entropy form.
 
-    S_qm at a phase sum phi in (pi/2, pi] is taken at pi - phi, where it
-    has the same value up to roundoff.
+    S_qm at a phase sum phi is taken at |phi|, where it has the same value
+    bit for bit, and at pi - |phi| for |phi| in (pi/2, pi], where it has the
+    same value up to roundoff.
     """
     return _d_qm_values([(state.r, delta)], delta_bin, tail_epsilon)[0]
 
 
 def _folded(phase: float) -> float:
-    """pi - phase for a phase sum in (pi/2, pi], else the phase sum itself.
+    """|phase|, or pi - |phase| for |phase| in (pi/2, pi].
 
-    S(phi) = S(pi - phi): the density at pi - phi is the one at phi with
-    b -> -b, and the grid is symmetric, so the joint at pi - phi is the one
-    at phi with its columns reversed, up to roundoff (S moves by at most a
-    few 1e-15).
+    S(-phi) = S(phi) bit for bit, as the joint is bitwise even in the phase
+    sum.  S(phi) = S(pi - phi): the density at pi - phi is the one at phi
+    with b -> -b, and the grid is symmetric, so the joint at pi - phi is the
+    one at phi with its columns reversed, up to roundoff (S moves by at most
+    a few 1e-15).
     """
+    phase = abs(phase)
     return math.pi - phase if math.pi / 2 < phase <= math.pi else phase
 
 
 def _d_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
     """d_qm_value at each (r, delta) of `points`, in one _s_qm_values call.
 
-    Phase sums are folded into [0, pi/2] first, so that S(pi - phi) and
-    S(phi) share one joint.
+    Phase sums are folded into [0, pi/2] first, so that S(phi), S(-phi) and
+    S(pi - phi) share one joint.
     """
     s = _s_qm_values([(TmsvParams(r), _folded(phase))
                       for r, delta in points for phase in (delta / 3.0, delta)],

@@ -18,9 +18,16 @@ Two independent routes compute the probability of a 2D cell:
   the window's nodes are evaluated, and the slabs beyond stay exactly 0.
   Each row thus drops at most 2 Phi(-K) <= 2 Phi(-9) ~ 2e-19 of its mass,
   never more than the grid's own tail_epsilon.  Panels are sized by the
-  integrand alone: a window gets ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|))
-  of them, so a window much narrower than sigma_a takes a single 16-point
-  panel.
+  integrand alone.  Uniform panels split a window into
+  ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)), so a window much narrower
+  than sigma_a takes a single 16-point panel.  Where the 8 sigma_c/|rho|
+  term sets that width (large r, phi_sum near 0), the slab of a b-edge e
+  varies on that scale only within K sigma_c/|rho| of its crossing
+  a = e/rho, and is 0 or 1 to within Phi(-K) beyond.  Such a row takes
+  edge-adapted panels when they need fewer slab elements: the uniform
+  width within K sigma_c/|rho| of the crossings of its near band edges,
+  and sigma_a/4 elsewhere.  Every other row, every r = 0 row among them,
+  keeps its uniform panels bit for bit.
   The density is invariant under (a, b) -> (b, a) and (a, b) -> (-a, -b),
   so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
   maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
@@ -48,6 +55,8 @@ A joint depends on phi_sum only through its coefficients, which read it as
 cos phi_sum, sin^2 phi_sum, sin^2(phi_sum/2) and cos^2(phi_sum/2).  Each is
 even, and computed evenly, so the joint is bitwise even in phi_sum: the
 joint at -phi_sum is the joint at phi_sum, bit for bit, on both routes.
+At r = 0 they do not depend on phi_sum at all (w = 0, v = 1), so the joint
+is bitwise the same at every phase sum.
 
 Every normal slab Phi(z_hi) - Phi(z_lo), in the panel kernel and in the
 exact marginal windows of bin_prob_1d, has one form: Phi is evaluated once
@@ -75,11 +84,14 @@ DEFAULT_TAIL_EPSILON = 1e-12
 CELL_BUDGET = 400_000_000
 # Gauss-Legendre order per panel; panels subdivide each window.
 _PANEL_ORDER = 16
-# Panels are at most min(sigma_a, _SLAB_RESOLUTION sigma_c/|rho|)/4 wide, so
-# both the marginal Gaussian and the conditional slab edge (which varies in a
-# on the scale sigma_c/|rho|) are resolved; without the second term panels
-# under-resolve cells at large r and phi_sum near 0.  The bin width Delta
-# does not enter: a window narrower than this scale gets one panel.
+# Uniform panels are at most min(sigma_a, _SLAB_RESOLUTION sigma_c/|rho|)/4
+# wide, so both the marginal Gaussian and the conditional slab edge (which
+# varies in a on the scale sigma_c/|rho|) are resolved; without the second
+# term panels under-resolve cells at large r and phi_sum near 0.  A slab edge
+# varies on that scale only near its crossing a = e/rho, so edge-adapted rows
+# keep this width there alone and take sigma_a/4 elsewhere (_panel_rows).
+# The bin width Delta does not enter: a window narrower than this scale gets
+# one panel.
 _SLAB_RESOLUTION = 8.0
 _MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
@@ -232,7 +244,7 @@ def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D
 
 
 def _panel_count(delta: float, coeffs: JointGaussianCoefficients) -> int:
-    """Gauss-Legendre panels per window, checked against _MAX_PANELS on the full window."""
+    """Uniform Gauss-Legendre panels per window, checked against _MAX_PANELS on the full window."""
     scale = coeffs.sigma_marginal
     rho = abs(coeffs.correlation)
     if rho > 0.0:
@@ -256,21 +268,32 @@ def _wedge(l: int, m: int) -> tuple[int, int]:
     return (l, m) if l <= 0 else (-l, -m)
 
 
-def _panel_rows(jobs) -> list[np.ndarray]:
+def _panel_rows(jobs) -> np.ndarray:
     """Wedge rows of several joints at one bin width and tail_epsilon, in one pass.
 
     `jobs` holds one (state, coeffs, grid, windows) per joint, each window
-    l <= 0; the result holds one (len(windows), n_bins) array per joint.
-    Row l holds the panel-quadrature cell probabilities of the columns
-    m in [l, -l] and zeros elsewhere.  Each window's a-interval is clipped
-    to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple,
-    keeping the panel width of the full window; a window wholly outside
-    gets a zero row.  Only the b-edges within K sigma_c of the span of the
-    row's conditional means are evaluated; the slabs beyond stay 0.
+    l <= 0; the result holds the rows of every joint end to end, each
+    n_bins long, in the order of `jobs` and `windows`.  Row l holds the
+    panel-quadrature cell probabilities of the columns m in [l, -l] and
+    zeros elsewhere.  Each window's a-interval is clipped
+    to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple; a
+    window wholly outside gets a zero row.  Only the b-edges within
+    K sigma_c of the span of the row's conditional means are evaluated; the
+    slabs beyond stay 0.
+
+    A row takes uniform panels, at most Delta / _panel_count wide, unless
+    the slab edge sets that width (8 sigma_c/|rho| < sigma_a) and
+    edge-adapted panels need fewer slab elements.  These are no wider than
+    Delta / _panel_count within K sigma_c/|rho| of the crossing a = e/rho
+    of each band edge e near the row, and sigma_a/4 wide elsewhere, where
+    every slab is 0 or 1 to within Phi(-K).  Rows with more than two near
+    edges stay uniform: their zones leave little room for wide panels.  An
+    adapted row's band is taken over its whole a-interval, so it holds
+    every edge within K sigma_c of each node's conditional mean.
 
     The rows of every joint are stacked, each with its own sigma_a,
-    sigma_c, correlation, clip and edge table.  Blocks of rows with equal
-    panel counts, sorted by band width and padded to the widest, are
+    sigma_c, correlation, clip, edge table and panels.  Blocks of rows with
+    equal panel counts, sorted by band width and padded to the widest, are
     evaluated with at most _BLOCK_ELEMENTS (rows, edges, nodes) elements,
     or one row.  Every cell is a function of its own row alone, so the
     result does not depend on which joints share the pass, on the blocks
@@ -280,9 +303,9 @@ def _panel_rows(jobs) -> list[np.ndarray]:
     delta = grids[0].delta
     cut = max(_MIN_CUT, _coverage_multiple(grids[0].tail_epsilon))
     x1, wts = _GL16[0] + 1.0, _GL16[1]
-    # per joint: correlation, sigma_c, cosh 2r, clip, panel count
-    rho, sc, c2r, a_cut, n_panels = np.array(
-        [(c.correlation, c.sigma_conditional, state.cosh_2r, cut * state.marginal_sigma,
+    # per joint: correlation, sigma_c, cosh 2r, sigma_a, panel count
+    rho, sc, c2r, sa, n_panels = np.array(
+        [(c.correlation, c.sigma_conditional, state.cosh_2r, state.marginal_sigma,
           _panel_count(delta, c)) for state, c, _, _ in jobs]).T
     lmax = np.array([grid.l_max for grid in grids])
     n_bins, n_edges = 2 * lmax + 1, 2 * lmax + 2
@@ -294,36 +317,71 @@ def _panel_rows(jobs) -> list[np.ndarray]:
     # per row: its joint's parameters
     joint = np.repeat(np.arange(len(jobs)), n_rows)
     windows = np.concatenate([np.asarray(w, dtype=int) for *_, w in jobs])
-    rho, sc, c2r, a_cut, n_panels, lmax = (v[joint] for v in (rho, sc, c2r, a_cut, n_panels, lmax))
+    rho, sc, c2r, sa, n_panels, lmax = (v[joint] for v in (rho, sc, c2r, sa, n_panels, lmax))
     centres = windows * delta
-    lo = np.maximum(centres - 0.5 * delta, -a_cut)
+    lo = np.maximum(centres - 0.5 * delta, -cut * sa)
     # A window wholly beyond the cut gets one panel of width 0: a zero row.
-    width = np.maximum(np.minimum(centres + 0.5 * delta, a_cut), lo) - lo
+    width = np.maximum(np.minimum(centres + 0.5 * delta, cut * sa), lo) - lo
     counts = np.maximum(np.minimum(n_panels, np.ceil(width * n_panels / delta)), 1)
     pw = width / counts
     half = 0.5 * pw
-    # Panel p of a row has the nodes lo + pw p + half (x + 1).  They increase
-    # along the row and mu = rho a / sigma_c is monotone in them, so the
-    # row's first and last node give the span of mu.
-    mu_lo, mu_hi = np.sort(rho * np.array(
-        [lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]]) / sc, axis=0)
-    s, last = np.empty_like(windows), np.empty_like(windows)
+    # Uniform panel p of a row has the nodes lo + pw p + half (x + 1).  They
+    # increase along the row and mu = rho a / sigma_c is monotone in them, so
+    # the row's first and last node give the span of mu; [0] is that span,
+    # [1] the span over the whole a-interval, for adapted rows.
+    mu_span = np.sort(rho * np.array([[lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]],
+                                      [lo, lo + width]]) / sc, axis=1)
+    s, last = np.empty((2, len(windows)), dtype=int), np.empty((2, len(windows)), dtype=int)
     for e0, e1, r0, r1 in zip(*(v.tolist() for v in (edge_off, edge_off + n_edges,
                                                      row_off, row_off + n_rows))):
-        s[r0:r1] = edges[e0:e1].searchsorted(mu_lo[r0:r1] - cut, side="right") - 1
-        last[r0:r1] = edges[e0:e1].searchsorted(mu_hi[r0:r1] + cut)
-    # Band edges s..last, within the row's wedge edges j0..j1.
+        s[:, r0:r1] = edges[e0:e1].searchsorted(mu_span[:, 0, r0:r1] - cut, side="right") - 1
+        last[:, r0:r1] = edges[e0:e1].searchsorted(mu_span[:, 1, r0:r1] + cut)
+    # Band edges s..last, within the row's wedge edges j0..j1.  The edges
+    # between them, near_lo..near_hi, are those whose crossing a = e / rho
+    # lies within K sigma_c/|rho| of the row's a-interval.
     j0, j1 = windows + lmax, lmax - windows + 1
+    near_lo, near_hi = np.maximum(s[1] + 1, j0), np.minimum(last[1] - 1, j1)
     s = np.maximum(np.minimum(s, j1), j0)
     last = np.minimum(np.maximum(last, j0), j1)
+    # Five segments per row: the uniform panels in one, or coarse, fine,
+    # coarse, fine and coarse about the crossings of at most two near edges.
+    seg_lo, seg_pw = np.repeat(lo[:, None], 5, axis=1), np.repeat(pw[:, None], 5, axis=1)
+    seg_n = np.zeros((len(windows), 5), dtype=int)
+    seg_n[:, 1] = counts
+    cand = np.flatnonzero((_SLAB_RESOLUTION * sc < np.abs(rho) * sa) & (width > 0)
+                          & (near_hi - near_lo < 2))
+    if cand.size:
+        rho_c, lo_c, hi_c = rho[cand], lo[cand], lo[cand] + width[cand]
+        h = cut * sc[cand] / np.abs(rho_c)
+        x = delta * (np.array([near_lo[cand], near_hi[cand]]) - lmax[cand] - 0.5) / rho_c
+        x = np.where(near_lo[cand] <= near_hi[cand], np.sort(x, axis=0), np.inf)
+        u0, v0, u1, v1 = np.clip([x[0] - h, x[0] + h, x[1] - h, x[1] + h], lo_c, hi_c)
+        bounds = np.array([lo_c, u0, v0, np.maximum(u1, v0), v1, hi_c])
+        length = bounds[1:] - bounds[:-1]
+        coarse, fine = 0.25 * sa[cand], delta / n_panels[cand]
+        n = np.ceil(length / np.array([coarse, fine, coarse, fine, coarse]))
+        total = n.sum(axis=0)
+        take = (total * (last[1, cand] - s[1, cand] + 1)
+                < counts[cand] * (last[0, cand] - s[0, cand] + 1))
+        rows = cand[take]
+        seg_lo[rows], seg_pw[rows] = bounds[:-1, take].T, (length / np.maximum(n, 1.0))[:, take].T
+        seg_n[rows], counts[rows] = n[:, take].T, total[take]
+        s[0, rows], last[0, rows] = s[1, rows], last[1, rows]
+    s, last = s[0], last[0]
     span = last - s
-    # Row i of a joint is written from its band start into a row twice the
-    # grid's width: the padding takes the zero columns that a block writes
-    # past a row narrower than the block's band.
-    row_size = 2 * n_bins
-    out_off = np.cumsum(n_rows * row_size) - n_rows * row_size
-    out = np.zeros(int((n_rows * row_size).sum()))
-    cell_at = out_off[joint] + (np.arange(len(joint)) - row_off[joint]) * row_size[joint] + s
+    # The panels of all rows, end to end: row i's are panel_at[i] onwards.
+    seg_lo, seg_pw, seg_n = seg_lo.ravel(), seg_pw.ravel(), seg_n.ravel()
+    seg = np.repeat(np.arange(len(seg_n)), seg_n)
+    seg_first = np.cumsum(seg_n) - seg_n
+    p_start = seg_lo[seg] + seg_pw[seg] * (np.arange(len(seg)) - seg_first[seg])
+    p_half = 0.5 * seg_pw[seg]
+    panel_at = seg_first[::5]
+    # Row i of a joint is written from its band start.  The zero columns that
+    # a block computes past a row narrower than the block's band go to the
+    # one spare element at the end.
+    out_off = np.cumsum(n_rows * n_bins) - n_rows * n_bins
+    out = np.zeros(int((n_rows * n_bins).sum()) + 1)
+    cell_at = out_off[joint] + (np.arange(len(joint)) - row_off[joint]) * n_bins[joint] + s
     band_at, band_end = edge_off[joint] + s, edge_off[joint] + last
     # Rows in order of panel count, then band width.  A block takes the next
     # rows of one panel count that fit in _BLOCK_ELEMENTS at the band width
@@ -343,10 +401,10 @@ def _panel_rows(jobs) -> list[np.ndarray]:
         last_row = first + max(1, int(size.searchsorted(_BLOCK_ELEMENTS, side="right")))
         blk, cols = order[first:last_row], np.arange(span_in_order[last_row - 1] + 1)
         first = last_row
-        starts = lo[blk, None] + pw[blk, None] * np.arange(count)
-        nodes = starts[:, :, None] + half[blk, None, None] * x1
-        f = (_marginal_density(nodes, c2r[blk, None, None])
-             * (half[blk, None, None] * wts)).reshape(len(blk), -1)
+        panels = panel_at[blk, None] + np.arange(count)
+        hw = p_half[panels][:, :, None]
+        nodes = p_start[panels][:, :, None] + hw * x1
+        f = (_marginal_density(nodes, c2r[blk, None, None]) * (hw * wts)).reshape(len(blk), -1)
         mu = (rho[blk, None, None] * nodes / sc[blk, None, None]).reshape(len(blk), -1)
         # Past its band a row repeats its last edge, so its slabs there are 0.
         band = edges[np.minimum(band_at[blk, None] + cols, band_end[blk, None])]
@@ -357,9 +415,8 @@ def _panel_rows(jobs) -> list[np.ndarray]:
         cells = np.einsum("ren,rn->re", slabs[..., :chunk], f[:, :chunk])
         for n0 in range(chunk, f.shape[1], chunk):
             cells += np.einsum("ren,rn->re", slabs[..., n0:n0 + chunk], f[:, n0:n0 + chunk])
-        out[cell_at[blk, None] + cols[:-1]] = cells
-    return [out[o:o + rows * size].reshape(rows, size)[:, :size // 2]
-            for o, rows, size in zip(out_off, n_rows, row_size)]
+        out[np.where(cols[:-1] < span[blk, None], cell_at[blk, None] + cols[:-1], -1)] = cells
+    return out[:-1]
 
 
 def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDistribution2D]:
@@ -375,21 +432,37 @@ def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDist
         grid = grids[state.r]
         jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grid,
                      np.arange(-grid.l_max, 1)))
+    rows = _panel_rows(jobs)
+    lmax = np.array([grid.l_max for _, _, grid, _ in jobs])
+    n_bins = 2 * lmax + 1
+    sizes = (lmax + 1) * n_bins
+    ends = np.cumsum(sizes)
+    # Each wedge entry stands for its orbit under (l, m) -> (m, l) and
+    # (l, m) -> (-l, -m): 1 cell at the centre, 2 on m = +-l, 4 elsewhere.
+    # Scaling by 2 or 4 is exact, so the correctly rounded fsum of a joint's
+    # scaled entries equals that over its whole matrix.
+    at = np.flatnonzero(rows)
+    cuts = [0, *at.searchsorted(ends).tolist()]
+    k = ends.searchsorted(at, side="right")
+    i, j = np.divmod(at - (ends - sizes)[k], n_bins[k])
+    scaled = np.ldexp(rows[at], 2 - (j == i) - (i + j == 2 * lmax[k])).tolist()
+    del at, k, i, j
     joints = []
-    for (state, phi_sum), (_, _, grid, _), wedge in zip(points, jobs, _panel_rows(jobs)):
-        lmax = grid.l_max
-        # Each wedge entry stands for its orbit under (l, m) -> (m, l) and
-        # (l, m) -> (-l, -m): 1 cell at the centre, 2 on m = +-l, 4 elsewhere.
-        # Scaling by 2 or 4 is exact, so the correctly rounded fsum equals
-        # that over the whole matrix.
-        i, j = np.nonzero(wedge)
-        orbit_log2 = 2 - (j == i) - (i + j == 2 * lmax)
-        captured_mass = math.fsum(np.ldexp(wedge[i, j], orbit_log2).tolist())
+    for (state, phi_sum), (_, _, grid, _), start, stop, end in zip(
+            points, jobs, cuts, cuts[1:], ends.tolist()):
+        n = grid.n_bins
+        wedge = rows[end - (grid.l_max + 1) * n:end].reshape(-1, n)
         probs = np.concatenate((wedge, wedge[-2::-1, ::-1]))  # p[l, m] = p[-l, -m]
         # Entries off the wedge are 0 and none is negative, so the maximum
         # copies the rows above onto their images under (l, m) -> (m, l).
+        # It is taken in place, a few rows at a time: each entry becomes the
+        # larger of itself and its mirror, whichever of the two comes first.
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for a in range(0, n, step):
+            part = probs[a:a + step]
+            np.maximum(part, probs[:, a:a + step].T.copy(), out=part)
         joints.append(BinnedDistribution2D(
-            probs=np.maximum(probs, probs.T), captured_mass=captured_mass,
+            probs=probs, captured_mass=math.fsum(scaled[start:stop]),
             grid=grid, r=state.r, phi_sum=phi_sum, method=PANEL_QUADRATURE,
         ))
     return joints
@@ -420,8 +493,8 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     if method == PANEL_QUADRATURE:
         a, b = _wedge(l, m)
-        (row,) = _panel_rows([(TmsvParams(coeffs.r), coeffs, grid, [a])])
-        return float(row[0, b + grid.l_max])
+        row = _panel_rows([(TmsvParams(coeffs.r), coeffs, grid, [a])])
+        return float(row[b + grid.l_max])
     if method == RECTANGLE_CDF:
         z = grid.edges() / coeffs.sigma_marginal
         i, j = l + grid.l_max, m + grid.l_max

@@ -6,7 +6,8 @@ binned marginal with a numerically binned joint would break the guarantee
 S(A|B) = S(A,B) - S(B) >= 0 at roundoff level, so it is never done here.
 
 _joint_terms is the one place that decides which requested joints are the
-same: a joint is keyed by (r, |phi_sum|), as it is bitwise even in phi_sum.
+same: a joint is keyed by (r, |phi_sum|), as it is bitwise even in phi_sum,
+and at r = 0 by r alone, as it is then bitwise independent of phi_sum.
 """
 
 from __future__ import annotations
@@ -141,14 +142,15 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
     """conditional_entropy of the binned_joint at each (state, phi_sum) of `points`, bitwise.
 
     The one place that decides which points share a joint: the joint is
-    bitwise even in phi_sum, so each (r, |phi_sum|) is built once, at the
-    first phi_sum given for it.  The joints are built in batches of at most
+    bitwise even in phi_sum, and at r = 0 the same at every phi_sum, so
+    each (r, |phi_sum|), and r = 0 whatever its phi_sum, is built once, at
+    the first phi_sum given for it.  The joints are built in batches of at most
     _BATCH_CELLS cells, or one joint, each batch in one kernel pass, and
     dropped once their entropies are taken; if `joints` is a list, it
     receives one joint per point instead, carrying that point's phi_sum.
     """
     points = list(points)
-    keys = [(state.r, abs(phi_sum)) for state, phi_sum in points]
+    keys = [(state.r, abs(phi_sum) if state.r else 0.0) for state, phi_sum in points]
     index, distinct = {}, []
     for key, point in zip(keys, points):
         if key not in index:
@@ -168,7 +170,8 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
             start, cells = stop, 0
     at = [index[key] for key in keys]
     if joints is not None:
-        # a point at -phi_sum gets the joint built at phi_sum, sharing its probs
+        # a point at -phi_sum, or any point at r = 0, gets the joint built
+        # for its key, sharing its probs
         joints += [replace(built[i], phi_sum=phi_sum) for i, (_, phi_sum) in zip(at, points)]
     return [terms[i] for i in at]
 

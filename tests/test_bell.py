@@ -298,14 +298,21 @@ def built(monkeypatch):
     return batches
 
 
+def _joint_key(r, phase):
+    """The key under which _joint_terms builds a joint: r alone at r = 0."""
+    return (r, bell._folded(phase) if r else 0.0)
+
+
 def test_scan_builds_each_distinct_joint_once(built):
     r_vals, d_vals = np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 7)
     res = scan(r_vals, d_vals, 2.0)
     fold = bell._folded
-    wanted = {(r, fold(phase)) for r in r_vals for d in d_vals for phase in (d / 3.0, d)}
+    wanted = {_joint_key(r, phase) for r in r_vals for d in d_vals for phase in (d / 3.0, d)}
     (batch,) = built
-    assert sorted(batch) == sorted(wanted)
-    # delta = 0 asks for S(0) twice, and some phase sums fold onto others
+    assert sorted(_joint_key(r, phase) for r, phase in batch) == sorted(wanted)
+    assert len(batch) == len(wanted)
+    # delta = 0 asks for S(0) twice, some phase sums fold onto others, and
+    # r = 0 has one joint
     assert len(batch) < len({(r, phase) for r in r_vals for d in d_vals
                              for phase in (d / 3.0, d)}) < 2 * res.d_qm.size
     for i, r in enumerate(r_vals):
@@ -319,16 +326,29 @@ def test_scan_builds_each_distinct_joint_once(built):
                 3.0 * s_qm(state, d / 3.0, 2.0) - s_qm(state, d, 2.0), abs=1e-13)
 
 
+def test_scan_builds_one_joint_at_zero_squeezing(built):
+    # at r = 0 the joint does not depend on the phase sum, so every delta of
+    # the row reads one joint and d_qm = 3 S - S = 2 S, bit for bit
+    d_vals = np.linspace(0.0, math.pi, 9)
+    res = scan([0.0, 0.5], d_vals, 3.5)
+    (batch,) = built
+    assert [r for r, _ in batch].count(0.0) == 1
+    s0 = s_qm(TmsvParams(0.0), 0.0, 3.5)
+    assert res.d_qm[0].tolist() == [3.0 * s0 - s0] * len(d_vals)
+    assert res.d_qm[0, 0] == scan_zero_delta([0.0], [3.5]).d_qm[0, 0]
+
+
 def test_scan_over_negative_deltas_builds_each_phase_magnitude_once(built):
     r_vals, d_vals = np.linspace(0.0, 1.0, 2), np.linspace(-3.0, 3.0, 7)
     res = scan(r_vals, d_vals, 2.0)
-    wanted = {(r, abs(bell._folded(phase))) for r in r_vals for d in d_vals
-              for phase in (d / 3.0, d)}
+    wanted = {_joint_key(r, phase) for r in r_vals for d in d_vals for phase in (d / 3.0, d)}
     (batch,) = built
-    assert sorted((r, abs(phase)) for r, phase in batch) == sorted(wanted)
-    # delta = -1 and 1 read the same two joints; the others fold differently
-    assert res.d_qm[:, 2].tolist() == res.d_qm[:, 4].tolist()
-    np.testing.assert_allclose(res.d_qm, res.d_qm[:, ::-1], rtol=0, atol=1e-13)
+    # phase sums are folded to |phase| first, so each joint is built at a
+    # non-negative phase sum and -delta reads the joints of delta
+    assert all(phase >= 0.0 for _, phase in batch)
+    assert sorted(_joint_key(r, phase) for r, phase in batch) == sorted(wanted)
+    assert len(batch) == len(wanted)
+    assert res.d_qm.tolist() == res.d_qm[:, ::-1].tolist()
 
 
 def test_zero_offset_scan_builds_each_joint_once_per_column(built):
@@ -341,15 +361,29 @@ def test_minimize_builds_each_coarse_joint_once(built):
     res = minimize((0.0, 2.0), (0.0, math.pi), 6,
                    options=MinimizeOptions(coarse_points=6, refine_starts=2))
     d_grid = bell._coarse_deltas(0.0, math.pi, 6)
-    wanted = {(r, bell._folded(phase)) for r in np.linspace(0.0, 2.0, 6) for d in d_grid
+    wanted = {_joint_key(r, phase) for r in np.linspace(0.0, 2.0, 6) for d in d_grid
               for phase in (d / 3.0, d)}
     coarse, *steps = built
-    assert sorted(coarse) == sorted(wanted)
+    assert sorted(_joint_key(r, phase) for r, phase in coarse) == sorted(wanted)
+    assert len(coarse) == len(wanted)
     assert len(coarse) < 2 * 6 * len(d_grid)
     # each simplex step is one d_qm value, a batch of at most two joints;
     # n_evaluations counts the d_qm values asked for, not the joints built
     assert all(1 <= len(step) <= 2 for step in steps)
     assert res.n_evaluations == 6 * len(d_grid) + len(steps) == 144
+
+
+def test_wide_bin_minimize_slab_work_is_bounded(monkeypatch):
+    # a deterministic count of the kernel's slab elements (one ndtr each);
+    # with uniform panels and one r = 0 joint per phase sum it is 486080
+    elements = []
+    slabs = coarse_grain._normal_slabs
+    monkeypatch.setattr(coarse_grain, "_normal_slabs",
+                        lambda z: elements.append(z.size) or slabs(z))
+    res = minimize((0.0, 2.0), (0.0, math.pi), 100.0,
+                   options=MinimizeOptions(coarse_points=4, refine_starts=0))
+    assert res.n_evaluations == 80
+    assert sum(elements) <= 260704
 
 
 def test_invalid_joint_in_a_batch_is_named(monkeypatch):

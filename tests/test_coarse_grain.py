@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -232,9 +233,11 @@ def test_joint_integrates_only_the_wedge_rows(monkeypatch):
 
 
 # (3, 1e-3, 1.5): narrow bands; (2, 0.1, 50): a clipped outer window, so two
-# panel counts; (1, 0.05, 0.2): 51 one-panel rows
+# panel counts; (1, 0.05, 0.2): 51 one-panel rows; (2, 0.02, 50) and
+# (2, 0.01, 30): edge-adapted rows of 13 and 62, and 24 and 40 panels
 @pytest.mark.parametrize("r, phi_sum, delta", [(3.0, 1e-3, 1.5), (2.0, 0.1, 50.0),
-                                               (1.0, 0.05, 0.2)])
+                                               (1.0, 0.05, 0.2), (2.0, 0.02, 50.0),
+                                               (2.0, 0.01, 30.0)])
 def test_panel_rows_block_size_invariant(monkeypatch, r, phi_sum, delta):
     state = TmsvParams(r)
     default = binned_joint(state, phi_sum, delta)
@@ -247,11 +250,18 @@ def test_panel_rows_block_size_invariant(monkeypatch, r, phi_sum, delta):
 # One batch per bin width, each mixing r = 0 with larger r and phase sums
 # beyond pi/2 (negative correlation): at Delta = 100 every grid has one bin,
 # (0.5, 0.2, 50) has its outer window clipped, and (3, 1e-3, 1.5) has narrow
-# bands.
+# bands.  Edge-adapted rows of other node counts sit beside uniform ones:
+# (2, 0.01) and (1.5, pi - 0.01) at Delta = 100; (2, 0.1), (2, 0.02) and
+# (2, 2.9) at Delta = 50; (2, 0.01), (1.5, 0.02) and (2, pi - 0.01) at 30;
+# (2, 0.01) and (2, 0.05) at 6, beside the headline joint, which stays
+# uniform; (3, 1e-3) at 1.5.
 @pytest.mark.parametrize("delta, points", [
-    (100.0, [(0.0, 0.3), (2.0, 2.0), (1.0, 0.0), (1.5, math.pi)]),
-    (50.0, [(0.5, 0.2), (0.0, 2.5), (2.0, 2.9), (2.0, 0.1), (1.0, 1.0)]),
+    (100.0, [(0.0, 0.3), (2.0, 2.0), (1.0, 0.0), (1.5, math.pi), (2.0, 0.01),
+             (1.5, math.pi - 0.01)]),
+    (50.0, [(0.5, 0.2), (0.0, 2.5), (2.0, 2.9), (2.0, 0.1), (1.0, 1.0), (2.0, 0.02)]),
     (1.5, [(3.0, 1e-3), (0.0, 0.4), (1.2, 2.2), (2.0, 0.9), (3.0, 1e-3)]),
+    (30.0, [(2.0, 0.01), (1.0, 0.01), (0.0, 1.0), (1.5, 0.02), (2.0, math.pi - 0.01)]),
+    (6.0, [(2.0, 0.01), (1.817, 0.213 * math.pi), (0.0, 0.0), (2.0, 0.05)]),
 ])
 def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
     points = [(TmsvParams(r), phi_sum) for r, phi_sum in points]
@@ -275,8 +285,27 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
     assert_batch_is_alone(order[::-1])
 
 
-def test_panel_count_follows_the_integrand():
-    # panels are at most min(sigma_a, 8 sigma_c/|rho|)/4 wide, whatever Delta
+def _kernel_panels(monkeypatch, r, phi_sum, delta):
+    """(start, width) of each panel of the one wedge row of a one-bin joint.
+
+    Read from the nodes the kernel hands to the density: each panel's nodes
+    are start + width (x + 1) / 2 for the Gauss-Legendre abscissae x.
+    """
+    seen = []
+    density = coarse_grain._marginal_density
+    with monkeypatch.context() as m:
+        m.setattr(coarse_grain, "_marginal_density",
+                  lambda nodes, c2r: seen.append(nodes) or density(nodes, c2r))
+        assert binned_joint(TmsvParams(r), phi_sum, delta).grid.n_bins == 1
+    (nodes,) = seen
+    x1 = np.polynomial.legendre.leggauss(16)[0] + 1.0
+    half = (nodes[0, :, -1] - nodes[0, :, 0]) / (x1[-1] - x1[0])
+    return nodes[0, :, 0] - half * x1[0], 2.0 * half
+
+
+def test_panel_count_follows_the_integrand(monkeypatch):
+    # uniform panels are at most min(sigma_a, 8 sigma_c/|rho|)/4 wide, whatever
+    # Delta; edge-adapted rows keep that width near their crossings only
     def n_panels(r, phi_sum, delta):
         c = coefficients(TmsvParams(r), PhaseSettings(0.0, phi_sum))
         return coarse_grain._panel_count(delta, c)
@@ -284,6 +313,92 @@ def test_panel_count_follows_the_integrand():
     assert n_panels(0.6, 0.5, 0.3) == 2
     assert n_panels(1.0, 0.05, 0.2) == 1
     assert n_panels(0.0, 0.0, 50.0) == 283
+    assert n_panels(2.0, 0.01, 100.0) == 357
+    cut = max(9.0, coarse_grain._coverage_multiple(1e-12))
+    # (2, 0.01, 60) and (1.5, 0.02, 36): the crossings a = +-Delta / (2 rho)
+    # lie just past the row's ends, within K sigma_c/|rho| of them;
+    # (2, 0.01, 100): far beyond, so sigma_a/4 panels throughout (238 -> 72);
+    # (2, 0.3, 100) and (0, 0, 50): sigma_a sets the panel width, and the
+    # row keeps its uniform panels.
+    for r, phi_sum, delta, adapted in [
+            (2.0, 0.01, 60.0, True), (1.5, 0.02, 36.0, True), (2.0, 0.01, 100.0, True),
+            (2.0, 0.3, 100.0, False), (0.0, 0.0, 50.0, False)]:
+        state = TmsvParams(r)
+        c = coefficients(state, PhaseSettings(0.0, phi_sum))
+        width_cap = delta / n_panels(r, phi_sum, delta)
+        # the one window [-Delta/2, Delta/2], clipped to +-K sigma_a
+        end = min(0.5 * delta, cut * state.marginal_sigma)
+        uniform = math.ceil(2.0 * end / width_cap)
+        start, width = _kernel_panels(monkeypatch, r, phi_sum, delta)
+        # the panels tile the clipped window in order
+        np.testing.assert_allclose(start[0], -end, rtol=0, atol=1e-12 * end)
+        np.testing.assert_allclose(start[1:], (start + width)[:-1], rtol=0, atol=1e-12 * end)
+        np.testing.assert_allclose(start[-1] + width[-1], end, rtol=0, atol=1e-12 * end)
+        if not adapted:
+            assert len(width) == uniform
+            assert np.ptp(width) <= 1e-12 * width[0]
+            continue
+        assert len(width) < uniform
+        # no wider than the uniform panels within K sigma_c/|rho| of a
+        # crossing of the band edges +-Delta/2, and sigma_a/4 elsewhere
+        zone = cut * c.sigma_conditional / abs(c.correlation)
+        crossings = np.array([-0.5 * delta, 0.5 * delta]) / c.correlation
+        near = np.min(np.abs((start + 0.5 * width)[:, None] - crossings), axis=1) < zone
+        assert near.any() == (delta < 100.0)
+        assert np.all(width[near] <= width_cap * (1.0 + 1e-12))
+        assert np.all(width[~near] <= 0.25 * state.marginal_sigma * (1.0 + 1e-12))
+        assert width[~near].max() > width_cap
+
+
+# The wide-bin ridge, where edge-adapted panels replace uniform ones: every cell
+# within 1e-10 of the rectangle route, on 1x1, 3x3 and larger grids.
+@pytest.mark.parametrize("delta", [3.0, 6.0, 30.0, 100.0])
+def test_adapted_panels_agree_with_the_rectangle_route_on_the_ridge(delta):
+    sizes = set()
+    for r in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
+        state = TmsvParams(r)
+        for phi_sum in (0.0, 1e-3, 0.01, 0.05, math.pi / 2):
+            p = binned_joint(state, phi_sum, delta)
+            q = binned_joint(state, phi_sum, delta, method=RECTANGLE_CDF)
+            assert np.max(np.abs(p.probs - q.probs)) < 1e-10, (r, phi_sum)
+            assert abs(p.captured_mass - 1.0) < 1e-10
+            marg = binned_marginal(state, p.grid).probs
+            assert np.max(np.abs(p.marginal_a() - marg)) < 1e-12, (r, phi_sum)
+            sizes.add(p.grid.n_bins)
+    if delta >= 30.0:
+        assert {1, 3} <= sizes
+
+
+# Recorded before edge-adapted panels: rows that gain nothing keep their
+# uniform nodes bit for bit.  So do every r = 0 row and the headline joints,
+# and the rows of (1.5, 0.05, 6), where the slab edge sets the uniform width
+# but adapted panels would need more slab elements.
+@pytest.mark.parametrize("r, phi_sum, delta, sha256, mass", [
+    (1.5, 0.05, 6.0,
+     "5ec1ac4981465a3473bc6c4395bf7b56012d4a155b40c536e2cdf75eb26403bf", "0x1.0000000000000p+0"),
+    (0.0, 0.0, 6.0,
+     "56e6421d1552f1cc547be7e31c085e4e00297cb326e3da67de552294e175b850", "0x1.0000000000002p+0"),
+    (0.0, 0.0, 100.0,
+     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712", "0x1.0000000000000p+0"),
+    (1.817, 0.213 * math.pi / 3.0, 6.0,
+     "ddbf52db40f3df633c5306ed35bc87649b2117b9ad81969c6cfa2944643a3050", "0x1.ffffffffffffep-1"),
+    (1.817, 0.213 * math.pi, 6.0,
+     "a9d5456ec7cc06a7da8b3be82108307ab1342beb631b425fb9d813a621c24720", "0x1.0000000000000p+0"),
+])
+def test_uniform_joints_are_pinned(r, phi_sum, delta, sha256, mass):
+    joint = binned_joint(TmsvParams(r), phi_sum, delta)
+    assert hashlib.sha256(joint.probs.tobytes()).hexdigest() == sha256
+    assert joint.captured_mass.hex() == mass
+
+
+@given(ph=_phi, delta=_delta)
+def test_joint_at_zero_squeezing_is_bitwise_independent_of_the_phase_sum(ph, delta):
+    # at r = 0 the coefficients carry no phi_sum dependence, so one joint
+    # serves every phase sum
+    state = TmsvParams(0.0)
+    joint, reference = binned_joint(state, ph, delta), binned_joint(state, 0.0, delta)
+    assert joint.probs.tobytes() == reference.probs.tobytes()
+    assert joint.captured_mass == reference.captured_mass
 
 
 def test_joint_matrix_reflection():

@@ -211,6 +211,28 @@ def test_joint_terms_builds_each_r_and_phase_magnitude_once(monkeypatch):
     assert joints[3].probs is not joints[0].probs
 
 
+def test_joint_terms_builds_one_joint_at_zero_squeezing(monkeypatch):
+    # at r = 0 the joint is bitwise the same at every phase sum, so r alone
+    # keys it; it is built at the first phase sum given
+    s0, s1 = TmsvParams(0.0), TmsvParams(1.0)
+    points = [(s0, 0.3), (s1, 0.3), (s0, -1.2), (s0, 2.5)]
+    expected = [conditional_entropy(binned_joint(state, phi_sum, 3.5))
+                for state, phi_sum in points]
+    batches = []
+    batched = entropy._binned_joints
+
+    def counted(batch, delta_bin, tail_epsilon):
+        batches.append([(state.r, phi_sum) for state, phi_sum in batch])
+        return batched(batch, delta_bin, tail_epsilon)
+
+    monkeypatch.setattr(entropy, "_binned_joints", counted)
+    joints = []
+    assert entropy._joint_terms(points, 3.5, 1e-12, joints) == expected
+    assert batches == [[(0.0, 0.3), (1.0, 0.3)]]
+    assert [(d.r, d.phi_sum) for d in joints] == [(state.r, phi) for state, phi in points]
+    assert joints[0].probs is joints[2].probs is joints[3].probs
+
+
 def test_s_qm_builds_its_joint_at_the_phase_sum_given(monkeypatch):
     # a one-point call runs the kernel at -phi, so the evenness checks compare
     # two kernel runs rather than one joint with itself
