@@ -35,6 +35,18 @@ from .gaussian_core import TmsvParams
 
 SCAN_CSV_HEADER = "r,delta,Delta,d_qm"
 
+# Most points that one scan, scan_zero_delta or minimize coarse stage
+# evaluates: 37 times the 41 x 65 fig1 panel and 32 times minimize's default
+# 48 x (48 + 16) coarse grid.  A request holds about 2 KB a point: a 100 x 1000
+# scan at Delta = 6 took 22 s and peaked at 270 MiB RSS on a 2-vCPU host.
+_MAX_POINTS = 100_000
+
+
+def _check_points(n: int) -> None:
+    """Reject a request of more than _MAX_POINTS points before any is listed."""
+    if n > _MAX_POINTS:
+        raise ValueError(f"need at most {_MAX_POINTS} grid points, got {n}")
+
 
 def _provenance(tail_epsilon: float) -> dict:
     """Keys that say which code made a result."""
@@ -288,6 +300,7 @@ def scan(state_values, delta_values, delta_bin: float,
     """Dense d_qm matrix over squeezing values (rows) and angle offsets (columns)."""
     r_values = np.asarray(state_values, dtype=float)
     d_values = np.asarray(delta_values, dtype=float)
+    _check_points(r_values.size * d_values.size)
     mat = np.array(_d_qm_values([(r, d) for r in r_values for d in d_values],
                                 delta_bin, tail_epsilon), dtype=float).reshape(len(r_values), len(d_values))
     l_lo = make_grid(TmsvParams(float(r_values.min())), delta_bin, tail_epsilon).l_max
@@ -333,6 +346,7 @@ def scan_zero_delta(state_values, delta_bin_values,
     """
     r_values = np.asarray(state_values, dtype=float)
     db_values = np.asarray(delta_bin_values, dtype=float)
+    _check_points(r_values.size * db_values.size)
     # one batch per bin-width column
     columns = [_s_qm_values([(TmsvParams(r), 0.0) for r in r_values], db, tail_epsilon)
                for db in db_values]
@@ -350,7 +364,8 @@ class MinimizeOptions:
     The coarse stage samples ``coarse_points`` values of r and of delta, plus
     16 log-spaced delta columns accumulating at the lower delta bound, where
     the landscape develops very sharp minima for large r.  Nelder-Mead then
-    refines from the ``refine_starts`` best coarse points.
+    refines from the ``refine_starts`` best coarse points.  The coarse grid
+    may hold at most _MAX_POINTS points.
     """
 
     coarse_points: int = 48
@@ -360,6 +375,7 @@ class MinimizeOptions:
         if self.coarse_points < 1 or self.refine_starts < 0:
             raise ValueError("need coarse_points >= 1 and refine_starts >= 0, got "
                              f"{self.coarse_points} and {self.refine_starts}")
+        _check_points(self.coarse_points * (self.coarse_points + 16))
 
 
 @dataclass(frozen=True)

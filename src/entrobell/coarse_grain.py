@@ -32,9 +32,7 @@ Two independent routes compute the probability of a 2D cell:
   so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
   maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
   the columns m in [l, -l].  Every other cell is copied from its wedge
-  representative, so the returned matrix is exactly symmetric, and the
-  captured mass is the fsum of the nonzero wedge entries scaled by their
-  orbit sizes (1, 2 or 4; exact, so equal to the fsum over every cell).
+  representative, so the returned matrix is exactly symmetric.
   The wedge rows of many joints at one bin width are computed together
   (_binned_joints; binned_joint is a batch of one): rows with equal panel
   counts, sorted by band width, are evaluated in blocks whose (rows, edges,
@@ -48,6 +46,9 @@ Two independent routes compute the probability of a 2D cell:
   correlation w/v.  Each is evaluated once, by Gauss-Legendre applied to the
   correlation-integral representation of the CDF, and every cell is the one
   2D difference of its four corners, clipped at 0.
+
+On either route, and for binned_marginal, the captured mass is a property of
+the returned distribution, summed when it is read and never during a build.
 
 The two must agree to 1e-10 absolute; they share no quadrature machinery.
 
@@ -138,20 +139,27 @@ class CoarseGrid:
         return self.delta * (np.arange(-self.l_max, self.l_max + 2, dtype=float) - 0.5)
 
 
+class _Binned:
+    """What every binned distribution derives from its `probs`."""
+
+    @property
+    def captured_mass(self) -> float:
+        """Probability the grid holds: the correctly rounded sum of every entry, on each read."""
+        return math.fsum(self.probs.ravel().tolist())
+
+
 @dataclass(frozen=True)
-class BinnedDistribution1D:
+class BinnedDistribution1D(_Binned):
     probs: np.ndarray
-    captured_mass: float
     grid: CoarseGrid
     r: float
 
 
 @dataclass(frozen=True)
-class BinnedDistribution2D:
+class BinnedDistribution2D(_Binned):
     """Cell probabilities indexed [l + l_max, m + l_max] (a-window, b-window)."""
 
     probs: np.ndarray
-    captured_mass: float
     grid: CoarseGrid
     r: float
     phi_sum: float
@@ -238,9 +246,7 @@ def bin_prob_1d(state: TmsvParams, grid: CoarseGrid, m) -> np.ndarray | float:
 
 def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D:
     probs = bin_prob_1d(state, grid, np.arange(-grid.l_max, grid.l_max + 1))
-    return BinnedDistribution1D(
-        probs=probs, captured_mass=math.fsum(probs.tolist()), grid=grid, r=state.r,
-    )
+    return BinnedDistribution1D(probs=probs, grid=grid, r=state.r)
 
 
 def _panel_count(delta: float, coeffs: JointGaussianCoefficients) -> int:
@@ -432,26 +438,11 @@ def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDist
         grid = grids[state.r]
         jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grid,
                      np.arange(-grid.l_max, 1)))
-    rows = _panel_rows(jobs)
-    lmax = np.array([grid.l_max for _, _, grid, _ in jobs])
-    n_bins = 2 * lmax + 1
-    sizes = (lmax + 1) * n_bins
-    ends = np.cumsum(sizes)
-    # Each wedge entry stands for its orbit under (l, m) -> (m, l) and
-    # (l, m) -> (-l, -m): 1 cell at the centre, 2 on m = +-l, 4 elsewhere.
-    # Scaling by 2 or 4 is exact, so the correctly rounded fsum of a joint's
-    # scaled entries equals that over its whole matrix.
-    at = np.flatnonzero(rows)
-    cuts = [0, *at.searchsorted(ends).tolist()]
-    k = ends.searchsorted(at, side="right")
-    i, j = np.divmod(at - (ends - sizes)[k], n_bins[k])
-    scaled = np.ldexp(rows[at], 2 - (j == i) - (i + j == 2 * lmax[k])).tolist()
-    del at, k, i, j
-    joints = []
-    for (state, phi_sum), (_, _, grid, _), start, stop, end in zip(
-            points, jobs, cuts, cuts[1:], ends.tolist()):
+    rows, start, joints = _panel_rows(jobs), 0, []
+    for (state, phi_sum), (_, _, grid, windows) in zip(points, jobs):
         n = grid.n_bins
-        wedge = rows[end - (grid.l_max + 1) * n:end].reshape(-1, n)
+        wedge = rows[start:start + len(windows) * n].reshape(-1, n)
+        start += wedge.size
         probs = np.concatenate((wedge, wedge[-2::-1, ::-1]))  # p[l, m] = p[-l, -m]
         # Entries off the wedge are 0 and none is negative, so the maximum
         # copies the rows above onto their images under (l, m) -> (m, l).
@@ -462,8 +453,7 @@ def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDist
             part = probs[a:a + step]
             np.maximum(part, probs[:, a:a + step].T.copy(), out=part)
         joints.append(BinnedDistribution2D(
-            probs=probs, captured_mass=math.fsum(scaled[start:stop]),
-            grid=grid, r=state.r, phi_sum=phi_sum, method=PANEL_QUADRATURE,
+            probs=probs, grid=grid, r=state.r, phi_sum=phi_sum, method=PANEL_QUADRATURE,
         ))
     return joints
 
@@ -479,9 +469,8 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     grid = make_grid(state, delta, tail_epsilon)
     coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
     z = grid.edges() / coeffs.sigma_marginal
-    probs = _rectangle_cells(z, z, coeffs.correlation)
     return BinnedDistribution2D(
-        probs=probs, captured_mass=math.fsum(probs.ravel().tolist()),
+        probs=_rectangle_cells(z, z, coeffs.correlation),
         grid=grid, r=state.r, phi_sum=phi_sum, method=method,
     )
 

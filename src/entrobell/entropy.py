@@ -61,8 +61,8 @@ class EntropyTerms:
 def shannon(probs) -> float:
     """-sum p ln p with 0 ln 0 = 0.
 
-    The distribution must be non-negative and sum to 1 within the captured
-    mass slack [1 - 1e-6, 1 + 1e-10]; no renormalisation is applied, so a
+    The distribution must be non-negative and its sum p.sum() lie in the
+    window [1 - 1e-6, 1 + 1e-10]; no renormalisation is applied, so a
     quadrature or normalisation bug surfaces here instead of being hidden.
     """
     p = np.asarray(probs, dtype=float).ravel()

@@ -32,7 +32,8 @@ DEFAULT_BOOTSTRAP = 200
 _MAX_BOOTSTRAP = 10_000
 
 # Most shots per setting that sample_pairs draws, ten times the largest count
-# the scripts and the benchmark use: at 16 bytes a shot, one batch is 160 MB.
+# that README's shot ladder and the benchmark use (1e6): at 16 bytes a shot,
+# one batch is 160 MB.
 _MAX_SHOTS = 10_000_000
 
 

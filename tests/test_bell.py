@@ -386,6 +386,20 @@ def test_wide_bin_minimize_slab_work_is_bounded(monkeypatch):
     assert sum(elements) <= 260704
 
 
+def test_compute_paths_sum_no_mass(monkeypatch):
+    # the captured mass is summed where it is read, never while joints are built
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+    scan([0.0, 1.0], [0.3, 0.9], 2.0)
+    minimize((0.0, 1.0), (0.0, math.pi), 6.0,
+             options=MinimizeOptions(coarse_points=3, refine_starts=1))
+    evaluate(TmsvParams(1.0), AngleGeometry(0.6), 1.5)
+    assert calls == []
+    assert binned_joint(TmsvParams(1.0), 0.6, 1.5).captured_mass == pytest.approx(1.0)
+    assert calls == [1]
+
+
 def test_invalid_joint_in_a_batch_is_named(monkeypatch):
     batched = entropy._binned_joints
     off = []

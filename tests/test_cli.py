@@ -1,6 +1,5 @@
 """Command-line surface: formats, config merging, exit codes."""
 
-import dataclasses
 import io
 import json
 import math
@@ -9,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from entrobell import entropy, validation
+from entrobell import entropy
 from entrobell.cli import _apply_config, _build_parser, main
-from entrobell.coarse_grain import binned_joint
+from entrobell.coarse_grain import BinnedDistribution2D, binned_joint
 from entrobell.experiment_sim import sample_pairs
 from entrobell.gaussian_core import TmsvParams
 from entrobell.bell import (
@@ -238,13 +237,8 @@ def test_validate_quick_passes(tmp_path):
 
 def test_validate_perturbed_norm_fails(tmp_path, capsys, monkeypatch):
     # joints whose captured mass is off by 1e-3 fail the normalization check alone
-    exact = validation.binned_joint
-
-    def off_by_1e3(*args, **kwargs):
-        dist = exact(*args, **kwargs)
-        return dataclasses.replace(dist, captured_mass=dist.captured_mass + 1e-3)
-
-    monkeypatch.setattr(validation, "binned_joint", off_by_1e3)
+    monkeypatch.setattr(BinnedDistribution2D, "captured_mass",
+                        property(lambda d: math.fsum(d.probs.ravel().tolist()) + 1e-3))
     code = main(["validate", "--quick", "--output", str(tmp_path / "val.txt")])
     assert code == 1
     assert capsys.readouterr().err == "failed checks: normalization\n"
@@ -509,6 +503,12 @@ def test_extreme_squeezing_exits_3(argv, capsys):
     SAMPLE_ARGV[:-1] + ["0"],
     SAMPLE_ARGV[:-1] + ["10001"],
     SAMPLE_ARGV[:-1] + [str(10 ** 12)],
+    # more than 1e5 points in one request
+    ["scan", "--Delta", "2", "--r-points", "1000", "--delta-points", "1000"],
+    ["scan", "--Delta", "2", "--r-points", "1", "--delta-points", "100001"],
+    ["minimize", "--Delta", "6", "--coarse-points", "1000"],
+    ["figure", "fig1", "--r-points", "1000", "--delta-points", "1000"],
+    ["figure", "fig2", "--r-points", "1000", "--Delta-points", "1000"],
 ])
 def test_empty_or_negative_counts_exit_2(argv, capsys):
     assert exit_code(argv) == 2

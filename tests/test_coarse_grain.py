@@ -522,10 +522,13 @@ def test_rectangle_lattice_takes_one_bvn_upper_call_per_row(monkeypatch):
     (0.6, 0.5, 0.3), (1.0, 0.05, 0.2),
 ])
 def test_captured_mass_is_the_full_fsum(r, phi_sum, delta):
-    # the mass is summed over the wedge with orbit sizes; fsum is correctly
-    # rounded, so it equals the sum over every cell
-    joint = binned_joint(TmsvParams(r), phi_sum, delta)
-    assert joint.captured_mass == math.fsum(joint.probs.ravel().tolist())
+    # on both routes and for the marginal, the mass is the correctly rounded
+    # sum over every entry
+    state = TmsvParams(r)
+    for dist in (binned_joint(state, phi_sum, delta),
+                 binned_joint(state, phi_sum, delta, method=RECTANGLE_CDF),
+                 binned_marginal(state, make_grid(state, delta))):
+        assert dist.captured_mass == math.fsum(dist.probs.ravel().tolist())
 
 
 @pytest.mark.parametrize("r, phi_sum, delta", [(3.0, 1e-3, 1.5), (2.0, 0.1, 50.0)])

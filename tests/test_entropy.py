@@ -26,8 +26,7 @@ def _manual_dist(probs):
     probs = np.asarray(probs, dtype=float)
     l_max = (probs.shape[0] - 1) // 2
     return BinnedDistribution2D(
-        probs=probs, captured_mass=float(probs.sum()),
-        grid=CoarseGrid(delta=1.0, l_max=l_max, tail_epsilon=1e-12),
+        probs=probs, grid=CoarseGrid(delta=1.0, l_max=l_max, tail_epsilon=1e-12),
         r=0.0, phi_sum=0.0, method="manual",
     )
 
