@@ -43,9 +43,9 @@ _MAX_POINTS = 100_000
 
 
 def _check_points(n: int) -> None:
-    """Reject a request of more than _MAX_POINTS points before any is listed."""
-    if n > _MAX_POINTS:
-        raise ValueError(f"need at most {_MAX_POINTS} grid points, got {n}")
+    """Reject a request of no points, or of more than _MAX_POINTS, before any is listed."""
+    if not 1 <= n <= _MAX_POINTS:
+        raise ValueError(f"need between 1 and {_MAX_POINTS} grid points, got {n}")
 
 
 def _provenance(tail_epsilon: float) -> dict:
@@ -442,8 +442,7 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     best = {"x": jobs[int(order[0])], "f": float(flat[order[0]])}
 
     def objective(x) -> float:
-        r = min(max(float(x[0]), r_lo), r_hi)
-        d = min(max(float(x[1]), d_lo), d_hi)
+        r, d = float(x[0]), float(x[1])  # Nelder-Mead clips every point into bounds
         val = d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon)
         if val < best["f"]:
             best["x"], best["f"] = (r, d), val

@@ -15,19 +15,19 @@ Two independent routes compute the probability of a 2D cell:
   window's a-interval is clipped to +-K sigma_a, with panels no wider than
   the full window's; a window wholly outside is a zero row.  In each row
   only the b-edges within K sigma_c of the span of conditional means over
-  the window's nodes are evaluated, and the slabs beyond stay exactly 0.
-  Each row thus drops at most 2 Phi(-K) <= 2 Phi(-9) ~ 2e-19 of its mass,
-  never more than the grid's own tail_epsilon.  Panels are sized by the
-  integrand alone.  Uniform panels split a window into
+  the window's uniform nodes are evaluated, and the slabs beyond stay
+  exactly 0.  Each row thus drops at most 2 Phi(-8.989) ~ 2.49e-19 of its
+  mass (_panel_rows), never more than the grid's own tail_epsilon.  Panels
+  are sized by the integrand alone.  Uniform panels split a window into
   ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)), so a window much narrower
   than sigma_a takes a single 16-point panel.  Where the 8 sigma_c/|rho|
   term sets that width (large r, phi_sum near 0), the slab of a b-edge e
   varies on that scale only within K sigma_c/|rho| of its crossing
   a = e/rho, and is 0 or 1 to within Phi(-K) beyond.  Such a row takes
-  edge-adapted panels when they need fewer slab elements: the uniform
-  width within K sigma_c/|rho| of the crossings of its near band edges,
-  and sigma_a/4 elsewhere.  Every other row, every r = 0 row among them,
-  keeps its uniform panels bit for bit.
+  edge-adapted panels when they are fewer (both plans share one band): the
+  uniform width within K sigma_c/|rho| of the crossings of its near band
+  edges, and sigma_a/4 elsewhere.  Every other row, every r = 0 row among
+  them, keeps its uniform panels bit for bit.
   The density is invariant under (a, b) -> (b, a) and (a, b) -> (-a, -b),
   so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
   maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
@@ -96,7 +96,7 @@ _PANEL_ORDER = 16
 _SLAB_RESOLUTION = 8.0
 _MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
-# drops at most 2 Phi(-9) ~ 2e-19 of its mass.
+# drops at most 2 Phi(-8.989) ~ 2.49e-19 of its mass (_panel_rows).
 _MIN_CUT = 9.0
 # Elements of one (rows, edges, nodes) block of the panel kernel; a row
 # larger than this forms a block of its own.  Results do not depend on it.
@@ -284,18 +284,20 @@ def _panel_rows(jobs) -> np.ndarray:
     zeros elsewhere.  Each window's a-interval is clipped
     to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple; a
     window wholly outside gets a zero row.  Only the b-edges within
-    K sigma_c of the span of the row's conditional means are evaluated; the
-    slabs beyond stay 0.
+    K sigma_c of the span of the conditional means over the row's uniform
+    nodes (its band) are evaluated; the slabs beyond stay 0.
 
-    A row takes uniform panels, at most Delta / _panel_count wide, unless
-    the slab edge sets that width (8 sigma_c/|rho| < sigma_a) and
-    edge-adapted panels need fewer slab elements.  These are no wider than
-    Delta / _panel_count within K sigma_c/|rho| of the crossing a = e/rho
+    A row takes uniform panels, at most Delta / _panel_count wide, unless the
+    slab edge sets that width (8 sigma_c/|rho| < sigma_a) and edge-adapted
+    panels are fewer; both plans share the row's band.  These are no wider
+    than Delta / _panel_count within K sigma_c/|rho| of the crossing a = e/rho
     of each band edge e near the row, and sigma_a/4 wide elsewhere, where
     every slab is 0 or 1 to within Phi(-K).  Rows with more than two near
     edges stay uniform: their zones leave little room for wide panels.  An
-    adapted row's band is taken over its whole a-interval, so it holds
-    every edge within K sigma_c of each node's conditional mean.
+    adapted row's end nodes lie at most (1 + x_0)/2 ~ 0.0053 of a uniform
+    panel width (<= 2 sigma_c/|rho|) beyond the uniform ones, x_0 the first
+    Gauss-Legendre node, so it drops at most 2 Phi(-(K - 0.0106))
+    <= 2 Phi(-8.989) ~ 2.49e-19 of its mass; a uniform row, 2 Phi(-9).
 
     The rows of every joint are stacked, each with its own sigma_a,
     sigma_c, correlation, clip, edge table and panels.  Blocks of rows with
@@ -333,20 +335,20 @@ def _panel_rows(jobs) -> np.ndarray:
     half = 0.5 * pw
     # Uniform panel p of a row has the nodes lo + pw p + half (x + 1).  They
     # increase along the row and mu = rho a / sigma_c is monotone in them, so
-    # the row's first and last node give the span of mu; [0] is that span,
-    # [1] the span over the whole a-interval, for adapted rows.
-    mu_span = np.sort(rho * np.array([[lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]],
-                                      [lo, lo + width]]) / sc, axis=1)
-    s, last = np.empty((2, len(windows)), dtype=int), np.empty((2, len(windows)), dtype=int)
+    # the row's first and last node give the span of mu.  An adapted row
+    # keeps this band: its nodes reach at most 0.0106 in mu beyond the span.
+    mu_span = np.sort(rho * np.array([lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]])
+                      / sc, axis=0)
+    s, last = np.empty(len(windows), dtype=int), np.empty(len(windows), dtype=int)
     for e0, e1, r0, r1 in zip(*(v.tolist() for v in (edge_off, edge_off + n_edges,
                                                      row_off, row_off + n_rows))):
-        s[:, r0:r1] = edges[e0:e1].searchsorted(mu_span[:, 0, r0:r1] - cut, side="right") - 1
-        last[:, r0:r1] = edges[e0:e1].searchsorted(mu_span[:, 1, r0:r1] + cut)
+        s[r0:r1] = edges[e0:e1].searchsorted(mu_span[0, r0:r1] - cut, side="right") - 1
+        last[r0:r1] = edges[e0:e1].searchsorted(mu_span[1, r0:r1] + cut)
     # Band edges s..last, within the row's wedge edges j0..j1.  The edges
     # between them, near_lo..near_hi, are those whose crossing a = e / rho
-    # lies within K sigma_c/|rho| of the row's a-interval.
+    # lies within K sigma_c/|rho| of the row's uniform node span.
     j0, j1 = windows + lmax, lmax - windows + 1
-    near_lo, near_hi = np.maximum(s[1] + 1, j0), np.minimum(last[1] - 1, j1)
+    near_lo, near_hi = np.maximum(s + 1, j0), np.minimum(last - 1, j1)
     s = np.maximum(np.minimum(s, j1), j0)
     last = np.minimum(np.maximum(last, j0), j1)
     # Five segments per row: the uniform panels in one, or coarse, fine,
@@ -367,13 +369,10 @@ def _panel_rows(jobs) -> np.ndarray:
         coarse, fine = 0.25 * sa[cand], delta / n_panels[cand]
         n = np.ceil(length / np.array([coarse, fine, coarse, fine, coarse]))
         total = n.sum(axis=0)
-        take = (total * (last[1, cand] - s[1, cand] + 1)
-                < counts[cand] * (last[0, cand] - s[0, cand] + 1))
+        take = total < counts[cand]  # one band for both: fewer panels, fewer slabs
         rows = cand[take]
         seg_lo[rows], seg_pw[rows] = bounds[:-1, take].T, (length / np.maximum(n, 1.0))[:, take].T
         seg_n[rows], counts[rows] = n[:, take].T, total[take]
-        s[0, rows], last[0, rows] = s[1, rows], last[1, rows]
-    s, last = s[0], last[0]
     span = last - s
     # The panels of all rows, end to end: row i's are panel_at[i] onwards.
     seg_lo, seg_pw, seg_n = seg_lo.ravel(), seg_pw.ravel(), seg_n.ravel()

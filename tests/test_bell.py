@@ -227,6 +227,15 @@ def test_zero_offset_scan_is_boundary_curve():
             assert res.d_qm[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("run, args", [
+    (scan, ([], [1.0], 1.5)), (scan, ([1.0], [], 1.5)),
+    (scan_zero_delta, ([], [1.0])), (scan_zero_delta, ([1.0], [])),
+])
+def test_scans_reject_an_empty_axis(run, args):
+    with pytest.raises(ValueError, match="need between 1 and 100000 grid points, got 0"):
+        run(*args)
+
+
 def test_write_json_provenance():
     res = scan(np.array([0.5]), np.array([0.6]), 1.0)
     buf = io.StringIO()
@@ -265,6 +274,25 @@ def test_minimize_frozen():
         "n_evaluations": 144, "coarse_d_min": 0.0005484407326320658,
         "r_bounds": [0.0, 2.0], "delta_bounds": [0.0, 3.141592653589793],
     }
+
+
+def test_nelder_mead_asks_only_for_points_in_the_box(monkeypatch):
+    # minimize's objective reads each simplex point as given: scipy's bounded
+    # Nelder-Mead clips the start, the simplex and every trial point first.
+    # Here the best coarse points sit on the box's corner (0, 0).
+    seen = []
+    nelder_mead = bell.optimize.minimize
+
+    def recording(fun, x0, **kwargs):
+        return nelder_mead(lambda x: seen.append(np.array(x)) or fun(x), x0, **kwargs)
+
+    monkeypatch.setattr(bell.optimize, "minimize", recording)
+    res = minimize((0.0, 2.0), (0.0, math.pi), 6,
+                   options=MinimizeOptions(coarse_points=6, refine_starts=2))
+    assert (res.r_star, res.delta_star) == (0.0, 0.0)
+    points = np.array(seen)
+    assert len(points) > 0
+    assert np.all((points >= [0.0, 0.0]) & (points <= [2.0, math.pi]))
 
 
 def test_minimize_soundness():

@@ -391,6 +391,31 @@ def test_uniform_joints_are_pinned(r, phi_sum, delta, sha256, mass):
     assert joint.captured_mass.hex() == mass
 
 
+# Recorded while an adapted row still took its band over its whole a-interval:
+# every row of these joints takes edge-adapted panels (1 of 1, 49 of 49 and 360
+# of 360 rows), and sharing the uniform rows' band keeps their bits.  The first
+# three are test_panel_count_follows_the_integrand's, then the eval-fine ridge
+# pair joints at r = 3 and a large-r joint at phi_sum = 0.
+@pytest.mark.parametrize("r, phi_sum, delta, sha256, mass", [
+    (2.0, 0.01, 60.0,
+     "abf755af694c2db1f96dcd3d0fb206710ddcc0fb34403c36e6c81508a66e181e", "0x1.ffffffffffff7p-1"),
+    (1.5, 0.02, 36.0,
+     "be0bdd761e59062d807b4efac34fbfef4b552a99019a3a2288d718d00a128a14", "0x1.ffffffffffff2p-1"),
+    (2.0, 0.01, 100.0,
+     "86a1df26e123ded0411c700bbd64622f89b4b3e2f8676a7b38c3e9f4517bc0a0", "0x1.ffffffffffffep-1"),
+    (3.0, 1e-3, 1.5,
+     "f405a0fd877bfe24002e72456d37ab85134c812477b6b8167622cc32aa808129", "0x1.ffffffffff069p-1"),
+    (3.0, 3e-3, 1.5,
+     "152585b3ec0bab7002b027675f206540c1325e53b323cb762f2a4f405afa8373", "0x1.ffffffffff067p-1"),
+    (8.0, 0.0, 30.0,
+     "282f00f41235f0f7e3c411623914c3c59468394f7760732322d74473d411b3a1", "0x1.fffffffffef8dp-1"),
+])
+def test_adapted_joints_are_pinned(r, phi_sum, delta, sha256, mass):
+    joint = binned_joint(TmsvParams(r), phi_sum, delta)
+    assert hashlib.sha256(joint.probs.tobytes()).hexdigest() == sha256
+    assert joint.captured_mass.hex() == mass
+
+
 @given(ph=_phi, delta=_delta)
 def test_joint_at_zero_squeezing_is_bitwise_independent_of_the_phase_sum(ph, delta):
     # at r = 0 the coefficients carry no phi_sum dependence, so one joint
