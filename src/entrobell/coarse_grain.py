@@ -16,9 +16,13 @@ Two independent routes compute the probability of a 2D cell:
   the full window's; a window wholly outside is a zero row.  In each row
   only the b-edges within K sigma_c of the span of conditional means over
   the window's uniform nodes are evaluated, and the slabs beyond stay
-  exactly 0.  Each row thus drops at most 2 Phi(-8.989) ~ 2.49e-19 of its
-  mass (_panel_rows), never more than the grid's own tail_epsilon.  Panels
-  are sized by the integrand alone.  Uniform panels split a window into
+  exactly 0.  A uniform row thus drops at most 2 Phi(-9) ~ 2.26e-19 of its
+  mass.  An edge-adapted row (below) keeps that band, and its end nodes lie
+  at most (1 + x_0)/2 ~ 0.0053 of a uniform panel width (<= 2 sigma_c/|rho|)
+  beyond the uniform ones, x_0 the first Gauss-Legendre node, so it drops
+  at most 2 Phi(-(K - 0.0106)) <= 2 Phi(-8.989) ~ 2.49e-19: never more
+  than the grid's own tail_epsilon.  Panels are sized by the integrand
+  alone.  Uniform panels split a window into
   ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)), so a window much narrower
   than sigma_a takes a single 16-point panel.  Where the 8 sigma_c/|rho|
   term sets that width (large r, phi_sum near 0), the slab of a b-edge e
@@ -26,21 +30,25 @@ Two independent routes compute the probability of a 2D cell:
   a = e/rho, and is 0 or 1 to within Phi(-K) beyond.  Such a row takes
   edge-adapted panels when they are fewer (both plans share one band): the
   uniform width within K sigma_c/|rho| of the crossings of its near band
-  edges, and sigma_a/4 elsewhere.  Every other row, every r = 0 row among
-  them, keeps its uniform panels bit for bit.
+  edges, at most two, and sigma_a/4 elsewhere.  Every other row, every
+  r = 0 row among them, keeps its uniform panels bit for bit.
   The density is invariant under (a, b) -> (b, a) and (a, b) -> (-a, -b),
   so p[l, m] = p[m, l] = p[-l, -m].  Only the fundamental domain of these
   maps, the wedge l <= -|m|, is integrated: rows l = -L..0, and in row l
   the columns m in [l, -l].  Every other cell is copied from its wedge
   representative, so the returned matrix is exactly symmetric.
-  The wedge rows of many joints at one bin width are computed together
-  (_binned_joints; binned_joint is a batch of one): rows with equal panel
-  counts, sorted by band width, are evaluated in blocks whose (rows, edges,
-  nodes) arrays hold at most _BLOCK_ELEMENTS elements, or one row if a row
-  alone is larger.  Every cell depends on its own row alone, so the result
+  The wedge rows of many joints at one bin width are computed in one pass
+  (_binned_joints; binned_joint is a batch of one).  _panel_plan first lays
+  the pass out, before any slab is evaluated: every row's clip, band and
+  panels, the blocks, and the exact number of slab elements (ndtr
+  evaluations) and bytes.  Rows with equal panel counts, sorted by band
+  width, form blocks whose (rows, edges, nodes) arrays hold at most
+  _BLOCK_ELEMENTS elements, or one row if a row alone is larger; _integrate
+  evaluates them.  Every cell depends on its own row alone, so the result
   is bitwise the same in any batch and for any block size, and
   bin_prob_2d, which computes one row on the same path, returns bitwise
-  the binned_joint entry.
+  the binned_joint entry.  The joints of one grid size are unfolded from
+  their wedges as one (joints, n, n) stack.
 * rectangle CDF: the grid edges, scaled to unit variance, form a lattice of
   orthants P(X > x_i, Y > y_j) of the standard bivariate normal with
   correlation w/v.  Each is evaluated once, by Gauss-Legendre applied to the
@@ -68,8 +76,10 @@ both tails keep full relative precision.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 from scipy import special
@@ -90,13 +100,13 @@ _PANEL_ORDER = 16
 # varies in a on the scale sigma_c/|rho|) are resolved; without the second
 # term panels under-resolve cells at large r and phi_sum near 0.  A slab edge
 # varies on that scale only near its crossing a = e/rho, so edge-adapted rows
-# keep this width there alone and take sigma_a/4 elsewhere (_panel_rows).
+# keep this width there alone and take sigma_a/4 elsewhere (_panel_plan).
 # The bin width Delta does not enter: a window narrower than this scale gets
 # one panel.
 _SLAB_RESOLUTION = 8.0
 _MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
-# drops at most 2 Phi(-8.989) ~ 2.49e-19 of its mass (_panel_rows).
+# drops at most 2 Phi(-8.989) ~ 2.49e-19 of its mass (module docstring).
 _MIN_CUT = 9.0
 # Elements of one (rows, edges, nodes) block of the panel kernel; a row
 # larger than this forms a block of its own.  Results do not depend on it.
@@ -249,19 +259,30 @@ def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D
     return BinnedDistribution1D(probs=probs, grid=grid, r=state.r)
 
 
-def _panel_count(delta: float, coeffs: JointGaussianCoefficients) -> int:
-    """Uniform Gauss-Legendre panels per window, checked against _MAX_PANELS on the full window."""
-    scale = coeffs.sigma_marginal
-    rho = abs(coeffs.correlation)
-    if rho > 0.0:
-        scale = min(scale, _SLAB_RESOLUTION * coeffs.sigma_conditional / rho)
-    n_panels = int(math.ceil(4.0 * delta / scale))
-    if n_panels > _MAX_PANELS:
+def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform Gauss-Legendre panels per window of each joint, with its correlation and sigma_c.
+
+    A window takes ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) panels,
+    checked against _MAX_PANELS on the full window.
+    """
+    v, w, v_minus_w, v_plus_w = np.array([(c.v, c.w, c.v_minus_w, c.v_plus_w) for c in coeffs]).T
+    rho, sc = w / v, 1.0 / np.sqrt(2.0 * v)
+    rho_abs = np.abs(rho)
+    # 8 sigma_c/|rho| is NaN at rho = 0, where fmin takes sigma_a
+    slab = _SLAB_RESOLUTION * sc / np.where(rho_abs > 0.0, rho_abs, np.nan)
+    n_panels = np.ceil(4.0 * delta / np.fmin(np.sqrt(v / (2.0 * (v_minus_w * v_plus_w))), slab))
+    if n_panels.max() > _MAX_PANELS:
+        k = int(np.argmax(n_panels > _MAX_PANELS))
         raise QuadratureBudgetExceeded(
-            f"window needs {n_panels} panels, cap is {_MAX_PANELS} "
-            f"(delta={delta}, r={coeffs.r}, phi_sum={coeffs.phi_sum})"
+            f"window needs {int(n_panels[k])} panels, cap is {_MAX_PANELS} "
+            f"(delta={delta}, r={coeffs[k].r}, phi_sum={coeffs[k].phi_sum})"
         )
-    return n_panels
+    return n_panels, rho, sc
+
+
+def _panel_count(delta: float, coeffs: JointGaussianCoefficients) -> int:
+    """Uniform panels per window of one joint (_panel_counts)."""
+    return int(_panel_counts(delta, [coeffs])[0][0])
 
 
 def _wedge(l: int, m: int) -> tuple[int, int]:
@@ -274,58 +295,63 @@ def _wedge(l: int, m: int) -> tuple[int, int]:
     return (l, m) if l <= 0 else (-l, -m)
 
 
-def _panel_rows(jobs) -> np.ndarray:
-    """Wedge rows of several joints at one bin width and tail_epsilon, in one pass.
+@dataclass(frozen=True)
+class _PanelPlan:
+    """One pass of the panel kernel, laid out before any slab is evaluated (_panel_plan).
 
-    `jobs` holds one (state, coeffs, grid, windows) per joint, each window
-    l <= 0; the result holds the rows of every joint end to end, each
-    n_bins long, in the order of `jobs` and `windows`.  Row l holds the
-    panel-quadrature cell probabilities of the columns m in [l, -l] and
-    zeros elsewhere.  Each window's a-interval is clipped
-    to +-K sigma_a, K = max(9, k) with k the grid's coverage multiple; a
-    window wholly outside gets a zero row.  Only the b-edges within
-    K sigma_c of the span of the conditional means over the row's uniform
-    nodes (its band) are evaluated; the slabs beyond stay 0.
-
-    A row takes uniform panels, at most Delta / _panel_count wide, unless the
-    slab edge sets that width (8 sigma_c/|rho| < sigma_a) and edge-adapted
-    panels are fewer; both plans share the row's band.  These are no wider
-    than Delta / _panel_count within K sigma_c/|rho| of the crossing a = e/rho
-    of each band edge e near the row, and sigma_a/4 wide elsewhere, where
-    every slab is 0 or 1 to within Phi(-K).  Rows with more than two near
-    edges stay uniform: their zones leave little room for wide panels.  An
-    adapted row's end nodes lie at most (1 + x_0)/2 ~ 0.0053 of a uniform
-    panel width (<= 2 sigma_c/|rho|) beyond the uniform ones, x_0 the first
-    Gauss-Legendre node, so it drops at most 2 Phi(-(K - 0.0106))
-    <= 2 Phi(-8.989) ~ 2.49e-19 of its mass; a uniform row, 2 Phi(-9).
-
-    The rows of every joint are stacked, each with its own sigma_a,
-    sigma_c, correlation, clip, edge table and panels.  Blocks of rows with
-    equal panel counts, sorted by band width and padded to the widest, are
-    evaluated with at most _BLOCK_ELEMENTS (rows, edges, nodes) elements,
-    or one row.  Every cell is a function of its own row alone, so the
-    result does not depend on which joints share the pass, on the blocks
-    or on the block size.
+    Its rows are the wedge rows with at least one band cell, in block
+    order: by panel count, then band width.  A block is consecutive rows of
+    one panel count, so its panels are consecutive too.
     """
-    grids = [grid for _, _, grid, _ in jobs]
-    delta = grids[0].delta
-    cut = max(_MIN_CUT, _coverage_multiple(grids[0].tail_epsilon))
-    x1, wts = _GL16[0] + 1.0, _GL16[1]
-    # per joint: correlation, sigma_c, cosh 2r, sigma_a, panel count
-    rho, sc, c2r, sa, n_panels = np.array(
-        [(c.correlation, c.sigma_conditional, state.cosh_2r, state.marginal_sigma,
-          _panel_count(delta, c)) for state, c, _, _ in jobs]).T
-    lmax = np.array([grid.l_max for grid in grids])
-    n_bins, n_edges = 2 * lmax + 1, 2 * lmax + 2
-    n_rows = np.array([len(windows) for *_, windows in jobs])
-    row_off, edge_off = np.cumsum(n_rows) - n_rows, np.cumsum(n_edges) - n_edges
+
+    edges: np.ndarray        # every joint's grid edges / sigma_c, end to end
+    band_start: np.ndarray   # per row: its band's first and last edge in `edges`,
+    band_end: np.ndarray
+    cell_at: np.ndarray      # and the output index of its band's first cell
+    counts: np.ndarray       # per row: its panels, and its joint's correlation,
+    rho: np.ndarray          # sigma_c and cosh 2r
+    sigma_c: np.ndarray
+    cosh_2r: np.ndarray
+    panel_start: np.ndarray  # per panel: left end and half width
+    panel_half: np.ndarray
+    blocks: np.ndarray       # first row of each block, then the number of rows
+    block_edges: np.ndarray  # per block: band edges of each of its rows, its widest band's
+    size: int                # cells of every joint's rows, end to end
+    slab_elements: int       # ndtr evaluations: rows x band edges x nodes, summed over blocks
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan's arrays."""
+        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+
+
+def _panel_plan(jobs) -> _PanelPlan:
+    """Lay out a _panel_rows pass: each row's clip, band and panels, and the blocks.
+
+    The clip, the band and the choice between uniform and edge-adapted
+    panels are those of the module docstring.  Rows of equal panel count,
+    sorted by band width, form blocks of at most _BLOCK_ELEMENTS (rows,
+    edges, nodes) elements at the band width of their last and widest row,
+    or one row.
+    """
+    grid = jobs[0][2]
+    delta, cut = grid.delta, max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
+    x1 = _GL16[0] + 1.0
+    # per joint: panel count, correlation, sigma_c, cosh 2r, l_max and rows
+    n_panels, rho, sc = _panel_counts(delta, [c for _, c, _, _ in jobs])
+    c2r = np.array([state.cosh_2r for state, *_ in jobs])
+    lmax, n_rows = np.array([(grid.l_max, len(windows)) for *_, grid, windows in jobs]).T
     # the edge tables of the joints, end to end: grid.edges() / sigma_c
-    i = np.arange(n_edges.sum()) - np.repeat(edge_off + lmax, n_edges)
-    edges = delta * (i - 0.5) / np.repeat(sc, n_edges)
+    n_edges = 2 * lmax + 2
+    edge_off = n_edges.cumsum() - n_edges
+    edge_joint = np.arange(len(jobs)).repeat(n_edges)
+    edges = delta * (np.arange(edge_joint.size) - (edge_off + lmax)[edge_joint] - 0.5)
+    edges /= sc[edge_joint]
     # per row: its joint's parameters
-    joint = np.repeat(np.arange(len(jobs)), n_rows)
-    windows = np.concatenate([np.asarray(w, dtype=int) for *_, w in jobs])
-    rho, sc, c2r, sa, n_panels, lmax = (v[joint] for v in (rho, sc, c2r, sa, n_panels, lmax))
+    joint = np.arange(len(jobs)).repeat(n_rows)
+    windows = np.fromiter(chain.from_iterable(w for *_, w in jobs), int, joint.size)
+    rho, sc, c2r, n_panels, lmax, at = (v[joint] for v in (rho, sc, c2r, n_panels, lmax, edge_off))
+    sa = np.sqrt(0.5 * c2r)
     centres = windows * delta
     lo = np.maximum(centres - 0.5 * delta, -cut * sa)
     # A window wholly beyond the cut gets one panel of width 0: a zero row.
@@ -337,13 +363,13 @@ def _panel_rows(jobs) -> np.ndarray:
     # increase along the row and mu = rho a / sigma_c is monotone in them, so
     # the row's first and last node give the span of mu.  An adapted row
     # keeps this band: its nodes reach at most 0.0106 in mu beyond the span.
-    mu_span = np.sort(rho * np.array([lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]])
-                      / sc, axis=0)
-    s, last = np.empty(len(windows), dtype=int), np.empty(len(windows), dtype=int)
-    for e0, e1, r0, r1 in zip(*(v.tolist() for v in (edge_off, edge_off + n_edges,
-                                                     row_off, row_off + n_rows))):
-        s[r0:r1] = edges[e0:e1].searchsorted(mu_span[0, r0:r1] - cut, side="right") - 1
-        last[r0:r1] = edges[e0:e1].searchsorted(mu_span[1, r0:r1] + cut)
+    mu_span = rho * np.array([lo + half * x1[0], lo + pw * (counts - 1) + half * x1[-1]]) / sc
+    mu_span.sort(axis=0)
+    # Complex numbers order as (real, imaginary) pairs: with the joint as the
+    # real part, one search of every edge table finds each row's band in its own.
+    keys = edge_joint + 1j * edges
+    s = keys.searchsorted(joint + 1j * (mu_span[0] - cut), side="right") - 1 - at
+    last = keys.searchsorted(joint + 1j * (mu_span[1] + cut)) - at
     # Band edges s..last, within the row's wedge edges j0..j1.  The edges
     # between them, near_lo..near_hi, are those whose crossing a = e / rho
     # lies within K sigma_c/|rho| of the row's uniform node span.
@@ -356,8 +382,8 @@ def _panel_rows(jobs) -> np.ndarray:
     seg_lo, seg_pw = np.repeat(lo[:, None], 5, axis=1), np.repeat(pw[:, None], 5, axis=1)
     seg_n = np.zeros((len(windows), 5), dtype=int)
     seg_n[:, 1] = counts
-    cand = np.flatnonzero((_SLAB_RESOLUTION * sc < np.abs(rho) * sa) & (width > 0)
-                          & (near_hi - near_lo < 2))
+    cand = ((_SLAB_RESOLUTION * sc < np.abs(rho) * sa) & (width > 0)
+            & (near_hi - near_lo < 2)).nonzero()[0]
     if cand.size:
         rho_c, lo_c, hi_c = rho[cand], lo[cand], lo[cand] + width[cand]
         h = cut * sc[cand] / np.abs(rho_c)
@@ -373,88 +399,133 @@ def _panel_rows(jobs) -> np.ndarray:
         rows = cand[take]
         seg_lo[rows], seg_pw[rows] = bounds[:-1, take].T, (length / np.maximum(n, 1.0))[:, take].T
         seg_n[rows], counts[rows] = n[:, take].T, total[take]
+    # Each row is n_bins long in the output, and written from its band start.
+    n_bins = 2 * lmax + 1
+    cell_at = n_bins.cumsum() - n_bins + s
+    # Block order; the panels of the rows in it, end to end.
     span = last - s
-    # The panels of all rows, end to end: row i's are panel_at[i] onwards.
-    seg_lo, seg_pw, seg_n = seg_lo.ravel(), seg_pw.ravel(), seg_n.ravel()
-    seg = np.repeat(np.arange(len(seg_n)), seg_n)
-    seg_first = np.cumsum(seg_n) - seg_n
-    p_start = seg_lo[seg] + seg_pw[seg] * (np.arange(len(seg)) - seg_first[seg])
-    p_half = 0.5 * seg_pw[seg]
-    panel_at = seg_first[::5]
-    # Row i of a joint is written from its band start.  The zero columns that
-    # a block computes past a row narrower than the block's band go to the
-    # one spare element at the end.
-    out_off = np.cumsum(n_rows * n_bins) - n_rows * n_bins
-    out = np.zeros(int((n_rows * n_bins).sum()) + 1)
-    cell_at = out_off[joint] + (np.arange(len(joint)) - row_off[joint]) * n_bins[joint] + s
-    band_at, band_end = edge_off[joint] + s, edge_off[joint] + last
-    # Rows in order of panel count, then band width.  A block takes the next
-    # rows of one panel count that fit in _BLOCK_ELEMENTS at the band width
-    # of its last and widest row, or one row.
-    order = np.flatnonzero(span > 0)
+    order = (span > 0).nonzero()[0]
     order = order[np.lexsort((span[order], counts[order]))]
-    counts_in_order, span_in_order = counts[order], span[order]
+    seg_lo, seg_pw, seg_n = (v[order].ravel() for v in (seg_lo, seg_pw, seg_n))
+    seg = np.arange(seg_n.size).repeat(seg_n)
+    seg_first = seg_n.cumsum() - seg_n
+    seg_pw = seg_pw[seg]
+    counts, span = counts[order].astype(int), span[order]
+    # A block takes the next rows of one panel count that fit in
+    # _BLOCK_ELEMENTS at the band width of its last and widest row, or one row.
+    n_of, span_of, blocks = counts.tolist(), span.tolist(), [0]
+    while blocks[-1] < len(n_of):
+        first = blocks[-1]
+        per_row = _PANEL_ORDER * n_of[first]
+        same = range(first + 1, bisect.bisect_right(n_of, n_of[first], first))
+        blocks.append(first + 1 + bisect.bisect_right(
+            same, _BLOCK_ELEMENTS, key=lambda k: (k - first + 1) * (span_of[k] + 1) * per_row))
+    blocks = np.array(blocks)
+    block_edges = span[blocks[1:] - 1] + 1
+    return _PanelPlan(
+        edges=edges, band_start=(at + s)[order], band_end=(at + last)[order],
+        cell_at=cell_at[order], counts=counts, rho=rho[order], sigma_c=sc[order],
+        cosh_2r=c2r[order],
+        panel_start=seg_lo[seg] + seg_pw * (np.arange(seg.size) - seg_first[seg]),
+        panel_half=0.5 * seg_pw, blocks=blocks, block_edges=block_edges, size=int(n_bins.sum()),
+        slab_elements=_PANEL_ORDER * int(((blocks[1:] - blocks[:-1]) * block_edges
+                                          * counts[blocks[:-1]]).sum()),
+    )
+
+
+def _integrate(plan: _PanelPlan) -> np.ndarray:
+    """The cells of a plan, every joint's rows end to end (_panel_rows), block by block."""
+    x1, wts = _GL16[0] + 1.0, _GL16[1]
+    out = np.zeros(plan.size + 1)
     chunk = np.getbufsize()
-    first = 0
-    while first < len(order):
-        count = int(counts_in_order[first])
-        per_row = _PANEL_ORDER * count
-        # no more rows than this can fit
-        stop = min(counts_in_order.searchsorted(count, side="right"),
-                   first + _BLOCK_ELEMENTS // per_row + 1)
-        size = np.arange(1, stop - first + 1) * (span_in_order[first:stop] + 1) * per_row
-        last_row = first + max(1, int(size.searchsorted(_BLOCK_ELEMENTS, side="right")))
-        blk, cols = order[first:last_row], np.arange(span_in_order[last_row - 1] + 1)
-        first = last_row
-        panels = panel_at[blk, None] + np.arange(count)
-        hw = p_half[panels][:, :, None]
-        nodes = p_start[panels][:, :, None] + hw * x1
-        f = (_marginal_density(nodes, c2r[blk, None, None]) * (hw * wts)).reshape(len(blk), -1)
-        mu = (rho[blk, None, None] * nodes / sc[blk, None, None]).reshape(len(blk), -1)
-        # Past its band a row repeats its last edge, so its slabs there are 0.
-        band = edges[np.minimum(band_at[blk, None] + cols, band_end[blk, None])]
+    blocks, counts, p = plan.blocks.tolist(), plan.counts.tolist(), 0
+    for first, stop, n_edges in zip(blocks, blocks[1:], plan.block_edges.tolist()):
+        rows, n_rows, count = slice(first, stop), stop - first, counts[first]
+        p_end, n = p + n_rows * count, _PANEL_ORDER * count
+        hw = plan.panel_half[p:p_end, None]
+        nodes = (plan.panel_start[p:p_end, None] + hw * x1).reshape(n_rows, count, _PANEL_ORDER)
+        f = (_marginal_density(nodes, plan.cosh_2r[rows, None, None])
+             * (hw * wts).reshape(nodes.shape)).reshape(n_rows, n)
+        mu = plan.rho[rows, None, None] * nodes / plan.sigma_c[rows, None, None]
+        mu = mu.reshape(n_rows, n)
+        # Past its band a row repeats its last edge, so its slabs there are 0,
+        # and their cells go to the one spare element at the end.
+        at = plan.band_start[rows, None] + np.arange(n_edges)
+        band = plan.edges[np.minimum(at, plan.band_end[rows, None])]
         slabs = _normal_slabs(band[:, :, None] - mu[:, None, :])
         # einsum sums up to np.getbufsize() nodes in one pass, but splits
         # longer sums in a way that depends on the block's shape; fixed
         # chunks of that length keep every cell independent of its block.
         cells = np.einsum("ren,rn->re", slabs[..., :chunk], f[:, :chunk])
-        for n0 in range(chunk, f.shape[1], chunk):
+        for n0 in range(chunk, n, chunk):
             cells += np.einsum("ren,rn->re", slabs[..., n0:n0 + chunk], f[:, n0:n0 + chunk])
-        out[np.where(cols[:-1] < span[blk, None], cell_at[blk, None] + cols[:-1], -1)] = cells
+        at = at[:, :-1]
+        out[np.where(at < plan.band_end[rows, None], at - plan.band_start[rows, None]
+                     + plan.cell_at[rows, None], -1)] = cells
+        p = p_end
     return out[:-1]
+
+
+def _panel_rows(jobs) -> np.ndarray:
+    """Wedge rows of several joints at one bin width and tail_epsilon, in one pass.
+
+    `jobs` holds one (state, coeffs, grid, windows) per joint, each window
+    l <= 0; the result holds the rows of every joint end to end, each
+    n_bins long, in the order of `jobs` and `windows`.  Row l holds the
+    panel-quadrature cell probabilities of the columns m in [l, -l] and
+    zeros elsewhere.  _panel_plan lays the pass out; _integrate evaluates it.
+    """
+    return _integrate(_panel_plan(jobs))
 
 
 def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDistribution2D]:
     """Panel-quadrature joints of many (state, phi_sum) points at one bin width.
 
-    All their wedge rows run through one _panel_rows pass.  Each joint is
-    bitwise the binned_joint of its point: the batch only schedules work.
+    All their wedge rows run through one _panel_rows pass, the joints of
+    one grid size next to each other, so that the matrices of each size are
+    unfolded as one (joints, n, n) stack, and each joint's probs is its
+    matrix of that stack.  Each joint is bitwise the binned_joint of its
+    point: the batch only schedules work.
     """
-    points, jobs, grids = list(points), [], {}
-    for state, phi_sum in points:
+    points, grids = list(points), {}
+    for state, _ in points:
         if state.r not in grids:
             grids[state.r] = make_grid(state, delta, tail_epsilon)
-        grid = grids[state.r]
-        jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grid,
-                     np.arange(-grid.l_max, 1)))
-    rows, start, joints = _panel_rows(jobs), 0, []
-    for (state, phi_sum), (_, _, grid, windows) in zip(points, jobs):
-        n = grid.n_bins
-        wedge = rows[start:start + len(windows) * n].reshape(-1, n)
-        start += wedge.size
-        probs = np.concatenate((wedge, wedge[-2::-1, ::-1]))  # p[l, m] = p[-l, -m]
+    lmax = [grids[state.r].l_max for state, _ in points]
+    order = sorted(range(len(points)), key=lmax.__getitem__)
+    jobs = []
+    for k in order:
+        state, phi_sum = points[k]
+        jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grids[state.r],
+                     range(-lmax[k], 1)))
+    rows, joints, start = _panel_rows(jobs), [None] * len(points), 0
+    for l, group in groupby(order, key=lmax.__getitem__):
+        group, n = list(group), 2 * l + 1
+        wedges = rows[start:start + len(group) * (l + 1) * n].reshape(len(group), l + 1, n)
+        start += wedges.size
+        probs = np.concatenate((wedges, wedges[:, -2::-1, ::-1]), axis=1)  # p[l, m] = p[-l, -m]
         # Entries off the wedge are 0 and none is negative, so the maximum
         # copies the rows above onto their images under (l, m) -> (m, l).
-        # It is taken in place, a few rows at a time: each entry becomes the
-        # larger of itself and its mirror, whichever of the two comes first.
-        step = max(1, _BLOCK_ELEMENTS // n)
-        for a in range(0, n, step):
-            part = probs[a:a + step]
-            np.maximum(part, probs[:, a:a + step].T.copy(), out=part)
-        joints.append(BinnedDistribution2D(
-            probs=probs, grid=grid, r=state.r, phi_sum=phi_sum, method=PANEL_QUADRATURE,
-        ))
+        # It is taken in place, a few joints and rows at a time, so that each
+        # transposed copy holds at most _BLOCK_ELEMENTS entries: each entry
+        # becomes the larger of itself and its mirror, whichever comes first.
+        per = max(1, _BLOCK_ELEMENTS // (n * n))
+        step = max(1, _BLOCK_ELEMENTS // (per * n))
+        for j in range(0, len(group), per):
+            for a in range(0, n, step):
+                part = probs[j:j + per, a:a + step]
+                np.maximum(part, probs[j:j + per, :, a:a + step].transpose(0, 2, 1).copy(),
+                           out=part)
+        for k, p in zip(group, probs):
+            state, phi_sum = points[k]
+            joints[k] = BinnedDistribution2D(probs=p, grid=grids[state.r], r=state.r,
+                                             phi_sum=phi_sum, method=PANEL_QUADRATURE)
     return joints
+
+
+def _one_minus_abs_correlation(coeffs: JointGaussianCoefficients) -> float:
+    """1 - |w/v| as (v - |w|) / v, from the uncancelled v - w or v + w."""
+    return (coeffs.v_minus_w if coeffs.w >= 0.0 else coeffs.v_plus_w) / coeffs.v
 
 
 def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
@@ -469,7 +540,7 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
     z = grid.edges() / coeffs.sigma_marginal
     return BinnedDistribution2D(
-        probs=_rectangle_cells(z, z, coeffs.correlation),
+        probs=_rectangle_cells(z, z, coeffs.correlation, _one_minus_abs_correlation(coeffs)),
         grid=grid, r=state.r, phi_sum=phi_sum, method=method,
     )
 
@@ -486,7 +557,8 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
     if method == RECTANGLE_CDF:
         z = grid.edges() / coeffs.sigma_marginal
         i, j = l + grid.l_max, m + grid.l_max
-        return bvn_rectangle(z[i], z[i + 1], z[j], z[j + 1], coeffs.correlation)
+        return float(_rectangle_cells(z[i:i + 2], z[j:j + 2], coeffs.correlation,
+                                      _one_minus_abs_correlation(coeffs))[0, 0])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -518,6 +590,18 @@ def bvn_upper(h: float | np.ndarray, k: float | np.ndarray, rho: float) -> float
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    return _bvn_upper(h, k, rho, 1.0 - abs(rho))
+
+
+def _bvn_upper(h, k, rho: float, one_minus_abs_rho: float):
+    """bvn_upper, given 1 - |rho| to its full precision.
+
+    Near |rho| = 1 the correlation itself has lost the digits of 1 - |rho|:
+    at r = 10 on the ridge w/v rounds to 1.  The residual branch is taken
+    while 1 - |rho| > 0 and forms 1 - rho^2 as omr (2 - omr) from it.  With
+    omr = 1 - |rho| formed from the rounded rho, as bvn_upper does, both
+    are bitwise the (1 - rho)(1 + rho) and |rho| < 1 of the rounded rho.
+    """
     h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
     x, wts = _gl_rule(rho)
     hk = h * k
@@ -534,8 +618,8 @@ def bvn_upper(h: float | np.ndarray, k: float | np.ndarray, rho: float) -> float
     # |rho| >= 0.925: integrate the residual after removing the rho -> +-1 limit.
     if rho < 0.0:
         k, hk = -k, -hk
-    if abs(rho) < 1.0:
-        a_s = (1.0 - rho) * (1.0 + rho)
+    if one_minus_abs_rho > 0.0:
+        a_s = one_minus_abs_rho * (2.0 - one_minus_abs_rho)
         a = math.sqrt(a_s)
         bs = (h - k) ** 2
         c = (4.0 - hk) / 8.0
@@ -564,15 +648,17 @@ def bvn_upper(h: float | np.ndarray, k: float | np.ndarray, rho: float) -> float
     return float(out) if out.ndim == 0 else out
 
 
-def _rectangle_cells(x, y, rho: float) -> np.ndarray:
+def _rectangle_cells(x, y, rho: float, one_minus_abs_rho: float) -> np.ndarray:
     """P(x[i] < X < x[i + 1], y[j] < Y < y[j + 1]) for increasing edges x and y.
 
-    One bvn_upper call per lattice row computes each orthant once.
+    One _bvn_upper call per lattice row computes each orthant once.
     """
-    u = np.array([bvn_upper(xi, y, rho) for xi in x])
+    u = np.array([_bvn_upper(xi, y, rho, one_minus_abs_rho) for xi in x])
     return np.maximum(u[:-1, :-1] - u[1:, :-1] - u[:-1, 1:] + u[1:, 1:], 0.0)
 
 
 def bvn_rectangle(x_lo: float, x_hi: float, y_lo: float, y_hi: float, rho: float) -> float:
     """P(x_lo < X < x_hi, y_lo < Y < y_hi) for the standard bivariate normal."""
-    return float(_rectangle_cells((x_lo, x_hi), (y_lo, y_hi), rho)[0, 0])
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    return float(_rectangle_cells((x_lo, x_hi), (y_lo, y_hi), rho, 1.0 - abs(rho))[0, 0])

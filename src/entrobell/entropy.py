@@ -27,9 +27,12 @@ PROBABILITY_FLOOR = 1e-300
 
 _SUM_LO = 1.0 - 1e-6
 _SUM_HI = 1.0 + 1e-10
-# Cells of the joints that one batch of _joint_terms holds at once.  Results
-# do not depend on it.
+# Cells of the joints that one batch of _joint_terms holds at once, each
+# joint counted as at least _JOINT_CELLS, so that a batch holds at most
+# _BATCH_CELLS / _JOINT_CELLS = 4096 joints of any size.  Results depend on
+# neither.
 _BATCH_CELLS = 1 << 18
+_JOINT_CELLS = 64
 
 
 class InvalidDistribution(Exception):
@@ -107,34 +110,67 @@ def s_qm(state: TmsvParams, phi_sum: float, delta_bin: float,
     return _s_qm_values([(state, phi_sum)], delta_bin, tail_epsilon)[0]
 
 
-def _entropy_terms(dists) -> list[EntropyTerms]:
-    """Joint and marginal entropies of each joint, computed together.
+def _part_entropies(values: np.ndarray, starts) -> list[float]:
+    """-sum p ln p over the entries above PROBABILITY_FLOOR of each part of `values`.
 
-    The entries of every joint matrix and of its two marginals are checked
-    and their logarithms taken in one pass; each entropy is still its own
-    dot product, so every term is bitwise the shannon of its part.  If a
-    check fails, the parts are checked one joint at a time with shannon,
-    and the first joint that fails raises InvalidDistribution naming it.
+    The parts are consecutive and begin at `starts`.  The kept entries of
+    every part, and their logarithms, are taken at once; each entropy is
+    its own part's dot product, so it is bitwise the shannon of that part.
     """
-    parts = [p for d in dists for p in (d.probs.ravel(), d.marginal_a(), d.marginal_b())]
-    flat = np.concatenate(parts)
-    if not (np.all(np.isfinite(flat)) and np.all(flat >= 0.0)
-            and all(p.size and _SUM_LO <= float(p.sum()) <= _SUM_HI for p in parts)):
-        for k, d in enumerate(dists):
+    keep = values > PROBABILITY_FLOOR
+    ends = np.add.reduceat(keep, starts, dtype=np.intp).cumsum().tolist()
+    q = values[keep]
+    del keep  # freed before the logarithms
+    log_q = np.log(q)
+    return [float(-np.dot(q[a:b], log_q[a:b])) for a, b in zip([0, *ends], ends)]
+
+
+def _entropy_terms(dists) -> list[EntropyTerms]:
+    """Joint and marginal entropies of each joint, taken a matrix shape at a time.
+
+    The joints of one shape are read as one (joints, n, m) stack.  A joint
+    alone is viewed as a stack of one, so a large matrix, which always forms
+    a batch of its own in _joint_terms, is never copied; several joints are
+    copied into one, which costs less than checking whether they already
+    are one, and holds at most one batch.  The marginals of the stack are
+    its sums along either axis, bitwise those of each joint.  The entries
+    of the stack and of its marginals are checked, and their logarithms
+    taken, for the whole stack at once; each entropy is still its own dot
+    product, so every term is bitwise the shannon of its part.  If a check
+    fails, the parts are checked one joint at a time with shannon, and the
+    first joint that fails raises InvalidDistribution naming it.
+    """
+    groups = {}
+    for k, d in enumerate(dists):
+        groups.setdefault(d.probs.shape, []).append(k)
+    stacks = []
+    for members in groups.values():
+        stack = dists[members[0]].probs[None] if len(members) == 1 else np.array(
+            [dists[k].probs for k in members])
+        stacks.append((members, stack, stack.sum(axis=2), stack.sum(axis=1)))
+    # Entries of a finite, non-negative stack whose sums lie in the window
+    # give marginals that are finite and non-negative too.
+    if not all(stack.size and stack.min() >= 0.0 and _SUM_LO <= sums.min()
+               and sums.max() <= _SUM_HI
+               for _, stack, marginal_a, marginal_b in stacks
+               for sums in [np.concatenate((stack.reshape(len(stack), stack[0].size).sum(axis=1),
+                                            marginal_a.sum(axis=1), marginal_b.sum(axis=1)))]):
+        for d in dists:
             try:
-                for p in parts[3 * k:3 * k + 3]:
+                for p in (d.probs.ravel(), d.marginal_a(), d.marginal_b()):
                     shannon(p)
             except InvalidDistribution as exc:
                 raise InvalidDistribution(f"joint at r={d.r!r}, phi_sum={d.phi_sum!r}, "
                                           f"Delta={d.grid.delta!r}: {exc}") from None
-    keep = flat > PROBABILITY_FLOOR
-    q = flat[keep]
-    del flat  # freed before the logarithms, so a big joint's peak stays at the kernel's
-    starts = np.cumsum([0] + [p.size for p in parts[:-1]])
-    ends = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp)).tolist()
-    log_q = np.log(q)
-    s = [float(-np.dot(q[a:b], log_q[a:b])) for a, b in zip([0, *ends], ends)]
-    return [EntropyTerms(*s[k:k + 3]) for k in range(0, len(s), 3)]
+    terms = [None] * len(dists)
+    for members, stack, marginal_a, marginal_b in stacks:
+        j, n, m = stack.shape
+        s_joint = _part_entropies(stack.ravel(), range(0, j * n * m, n * m))
+        s_marginals = _part_entropies(np.concatenate((marginal_a.ravel(), marginal_b.ravel())),
+                                      [*range(0, j * n, n), *range(j * n, j * (n + m), m)])
+        for k, s, s_a, s_b in zip(members, s_joint, s_marginals[:j], s_marginals[j:]):
+            terms[k] = EntropyTerms(s, s_a, s_b)
+    return terms
 
 
 def _joint_terms(points, delta_bin: float, tail_epsilon: float,
@@ -144,10 +180,12 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
     The one place that decides which points share a joint: the joint is
     bitwise even in phi_sum, and at r = 0 the same at every phi_sum, so
     each (r, |phi_sum|), and r = 0 whatever its phi_sum, is built once, at
-    the first phi_sum given for it.  The joints are built in batches of at most
-    _BATCH_CELLS cells, or one joint, each batch in one kernel pass, and
-    dropped once their entropies are taken; if `joints` is a list, it
-    receives one joint per point instead, carrying that point's phi_sum.
+    the first phi_sum given for it.  The joints are built in batches, each
+    closed by the joint that brings it to _BATCH_CELLS cells, a joint
+    counting as at least _JOINT_CELLS; each batch runs in one kernel pass,
+    and its joints are dropped once their entropies are taken.  If `joints`
+    is a list, it receives one joint per point instead, carrying that
+    point's phi_sum.
     """
     points = list(points)
     keys = [(state.r, abs(phi_sum) if state.r else 0.0) for state, phi_sum in points]
@@ -160,7 +198,7 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
     for stop, (state, _) in enumerate(distinct, 1):
         if state.r not in n_bins:
             n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
-        cells += n_bins[state.r] ** 2
+        cells += max(n_bins[state.r] ** 2, _JOINT_CELLS)
         if cells >= _BATCH_CELLS or stop == len(distinct):
             batch = _binned_joints(distinct[start:stop], delta_bin, tail_epsilon)
             terms += _entropy_terms(batch)

@@ -366,6 +366,24 @@ def test_scan_builds_one_joint_at_zero_squeezing(built):
     assert res.d_qm[0, 0] == scan_zero_delta([0.0], [3.5]).d_qm[0, 0]
 
 
+def test_scan_batches_hold_a_bounded_number_of_joints(built, monkeypatch):
+    # a joint counts as at least _JOINT_CELLS cells, so a batch of tiny grids
+    # closes at _BATCH_CELLS / _JOINT_CELLS = 4096 joints; at Delta = 6 these
+    # grids have 3 to 7 bins, and their joints would be one batch by cells alone
+    r_vals, d_vals = [0.5, 1.0, 1.5], np.linspace(0.0, math.pi, 1400)
+    res = scan(r_vals, d_vals, 6.0)
+    assert entropy._BATCH_CELLS // entropy._JOINT_CELLS == 4096
+    assert len(built) >= 2
+    assert max(map(len, built)) <= 4096
+    assert sum(coarse_grain.make_grid(TmsvParams(r), 6.0).n_bins ** 2
+               for batch in built for r, _ in batch) < entropy._BATCH_CELLS
+    # and the results are bitwise those of one batch
+    built.clear()
+    monkeypatch.setattr(entropy, "_BATCH_CELLS", 1 << 60)
+    assert scan(r_vals, d_vals, 6.0).d_qm.tolist() == res.d_qm.tolist()
+    assert len(built) == 1
+
+
 def test_scan_over_negative_deltas_builds_each_phase_magnitude_once(built):
     r_vals, d_vals = np.linspace(0.0, 1.0, 2), np.linspace(-3.0, 3.0, 7)
     res = scan(r_vals, d_vals, 2.0)

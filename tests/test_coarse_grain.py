@@ -255,14 +255,17 @@ def test_panel_rows_block_size_invariant(monkeypatch, r, phi_sum, delta):
 # (2, 2.9) at Delta = 50; (2, 0.01), (1.5, 0.02) and (2, pi - 0.01) at 30;
 # (2, 0.01) and (2, 0.05) at 6, beside the headline joint, which stays
 # uniform; (3, 1e-3) at 1.5.
-@pytest.mark.parametrize("delta, points", [
+_MIXED_BATCHES = [
     (100.0, [(0.0, 0.3), (2.0, 2.0), (1.0, 0.0), (1.5, math.pi), (2.0, 0.01),
              (1.5, math.pi - 0.01)]),
     (50.0, [(0.5, 0.2), (0.0, 2.5), (2.0, 2.9), (2.0, 0.1), (1.0, 1.0), (2.0, 0.02)]),
     (1.5, [(3.0, 1e-3), (0.0, 0.4), (1.2, 2.2), (2.0, 0.9), (3.0, 1e-3)]),
     (30.0, [(2.0, 0.01), (1.0, 0.01), (0.0, 1.0), (1.5, 0.02), (2.0, math.pi - 0.01)]),
     (6.0, [(2.0, 0.01), (1.817, 0.213 * math.pi), (0.0, 0.0), (2.0, 0.05)]),
-])
+]
+
+
+@pytest.mark.parametrize("delta, points", _MIXED_BATCHES)
 def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
     points = [(TmsvParams(r), phi_sum) for r, phi_sum in points]
     alone = [binned_joint(state, phi_sum, delta) for state, phi_sum in points]
@@ -283,6 +286,31 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
     assert_batch_is_alone(order[1::2] + order[::2])
     monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", 1)  # one row per block
     assert_batch_is_alone(order[::-1])
+
+
+@pytest.mark.parametrize("delta, points", _MIXED_BATCHES)
+def test_panel_plan_counts_its_slab_elements(monkeypatch, delta, points):
+    # the plan states its ndtr evaluations before any is made: every z the
+    # kernel hands to _normal_slabs, summed, at the default block size and at
+    # one row per block
+    plans, elements = [], []
+    plan, slabs = coarse_grain._panel_plan, coarse_grain._normal_slabs
+    monkeypatch.setattr(coarse_grain, "_panel_plan", lambda jobs: plans.append(plan(jobs))
+                        or plans[-1])
+    monkeypatch.setattr(coarse_grain, "_normal_slabs",
+                        lambda z: elements.append(z.size) or slabs(z))
+    points = [(TmsvParams(r), phi_sum) for r, phi_sum in points]
+    for block_elements in (coarse_grain._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", block_elements)
+        plans.clear()
+        elements.clear()
+        coarse_grain._binned_joints(points, delta, 1e-12)
+        (only,) = plans
+        assert sum(elements) == only.slab_elements > 0
+        assert len(elements) == len(only.blocks) - 1
+        assert only.nbytes == sum(getattr(only, name).nbytes for name in (
+            "edges", "band_start", "band_end", "cell_at", "counts", "rho", "sigma_c",
+            "cosh_2r", "panel_start", "panel_half", "blocks", "block_edges"))
 
 
 def _kernel_panels(monkeypatch, r, phi_sum, delta):
@@ -511,6 +539,21 @@ def test_joint_methods_agree_matrixwise(r, phi_sum, delta):
     assert np.max(np.abs(p.marginal_a() - marg)) < 1e-12
 
 
+# On the ridge the rectangle route takes 1 - |rho| from v - w, not from the
+# rounded correlation: at (6, 0, 10) and (8, 0, 30) the gaps were 3.5e-12 and
+# 1.8e-10 when bvn_upper formed 1 - rho^2 from w / v.
+@pytest.mark.parametrize("r, delta", [(6.0, 10.0), (8.0, 30.0)])
+def test_rectangle_route_takes_exact_one_minus_rho_on_the_ridge(r, delta):
+    state = TmsvParams(r)
+    p = binned_joint(state, 0.0, delta)
+    q = binned_joint(state, 0.0, delta, method=RECTANGLE_CDF)
+    assert np.max(np.abs(p.probs - q.probs)) <= 1e-14
+    # and the single rectangle cell, on the ridge's diagonal halfway out
+    c = coefficients(state, PhaseSettings(0.0, 0.0))
+    l, i = -(p.grid.l_max // 2), p.grid.l_max - p.grid.l_max // 2
+    assert abs(bin_prob_2d(c, p.grid, l, l, method=RECTANGLE_CDF) - p.probs[i, i]) <= 1e-14
+
+
 # correlations 0.19, 0.73, 0.85, -0.91 and 0.994: each |rho| branch of bvn_upper
 @pytest.mark.parametrize("r, phi_sum, delta", [
     (0.1, 0.3, 0.5), (0.6, 0.5, 0.3), (1.0, 0.5, 2.0), (1.0, 2.8, 2.0), (2.0, 0.1, 3.0),
@@ -530,13 +573,13 @@ def test_rectangle_lattice_is_the_per_cell_rectangle(r, phi_sum, delta):
 def test_rectangle_lattice_takes_one_bvn_upper_call_per_row(monkeypatch):
     # each call holds one lattice row, never the whole (N+1)^2 lattice
     calls = []
-    bvn = coarse_grain.bvn_upper
+    bvn = coarse_grain._bvn_upper
 
-    def spy(h, k, rho):
+    def spy(h, k, rho, one_minus_abs_rho):
         calls.append((np.size(h), np.size(k)))
-        return bvn(h, k, rho)
+        return bvn(h, k, rho, one_minus_abs_rho)
 
-    monkeypatch.setattr(coarse_grain, "bvn_upper", spy)
+    monkeypatch.setattr(coarse_grain, "_bvn_upper", spy)
     joint = binned_joint(TmsvParams(1.0), 0.05, 0.2, method=RECTANGLE_CDF)
     n_edges = joint.grid.n_bins + 1
     assert calls == [(1, n_edges)] * n_edges

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,27 @@ def test_batched_entropies_are_bitwise_conditional_entropy(monkeypatch):
     assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
     monkeypatch.setattr(entropy, "_BATCH_CELLS", 1)  # one joint per batch
     assert entropy._s_qm_values(points, 1.5, 1e-12) == expected
+
+
+def test_entropies_of_a_large_joint_peak_below_its_kernel():
+    # the entropy step holds the joint's kept entries and their logarithms,
+    # never a copy of the matrix, so it peaks no higher than building the
+    # joint did; a flat copy of the matrix and its marginals went above it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        joint = binned_joint(TmsvParams(1.0), 0.5, 0.045)
+        kernel = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        terms = entropy._entropy_terms([joint])
+        step = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert joint.grid.n_bins >= 400
+    assert terms == [EntropyTerms(shannon(joint.probs), shannon(joint.marginal_a()),
+                                  shannon(joint.marginal_b()))]
+    assert step <= kernel
 
 
 def test_joint_terms_builds_each_r_and_phase_magnitude_once(monkeypatch):
