@@ -48,7 +48,8 @@ Two independent routes compute the probability of a 2D cell:
   is bitwise the same in any batch and for any block size, and
   bin_prob_2d, which computes one row on the same path, returns bitwise
   the binned_joint entry.  The joints of one grid size are unfolded from
-  their wedges as one (joints, n, n) stack.
+  their wedges as one (joints, n, n) stack; _binned_joints returns these
+  stacks, and the entropies read each in place, with no copy.
 * rectangle CDF: the grid edges, scaled to unit variance, form a lattice of
   orthants P(X > x_i, Y > y_j) of the standard bivariate normal with
   correlation w/v.  Each is evaluated once, by Gauss-Legendre applied to the
@@ -280,11 +281,6 @@ def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndar
     return n_panels, rho, sc
 
 
-def _panel_count(delta: float, coeffs: JointGaussianCoefficients) -> int:
-    """Uniform panels per window of one joint (_panel_counts)."""
-    return int(_panel_counts(delta, [coeffs])[0][0])
-
-
 def _wedge(l: int, m: int) -> tuple[int, int]:
     """Representative of cell (l, m) in the wedge l <= -|m|.
 
@@ -478,14 +474,16 @@ def _panel_rows(jobs) -> np.ndarray:
     return _integrate(_panel_plan(jobs))
 
 
-def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDistribution2D]:
-    """Panel-quadrature joints of many (state, phi_sum) points at one bin width.
+def _binned_joints(points, delta: float,
+                   tail_epsilon: float) -> list[tuple[CoarseGrid, list[int], np.ndarray]]:
+    """Panel-quadrature joints of many (state, phi_sum) points at one bin width, as stacks.
 
     All their wedge rows run through one _panel_rows pass, the joints of
-    one grid size next to each other, so that the matrices of each size are
-    unfolded as one (joints, n, n) stack, and each joint's probs is its
-    matrix of that stack.  Each joint is bitwise the binned_joint of its
-    point: the batch only schedules work.
+    one grid size next to each other, and the matrices of each size are
+    unfolded as one (joints, n, n) stack.  The result holds one
+    (grid, ks, stack) per grid size, stack[i] the joint of points[ks[i]].
+    Each joint is bitwise the binned_joint of its point: the batch only
+    schedules work.
     """
     points, grids = list(points), {}
     for state, _ in points:
@@ -498,7 +496,7 @@ def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDist
         state, phi_sum = points[k]
         jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grids[state.r],
                      range(-lmax[k], 1)))
-    rows, joints, start = _panel_rows(jobs), [None] * len(points), 0
+    rows, stacks, start = _panel_rows(jobs), [], 0
     for l, group in groupby(order, key=lmax.__getitem__):
         group, n = list(group), 2 * l + 1
         wedges = rows[start:start + len(group) * (l + 1) * n].reshape(len(group), l + 1, n)
@@ -516,11 +514,8 @@ def _binned_joints(points, delta: float, tail_epsilon: float) -> list[BinnedDist
                 part = probs[j:j + per, a:a + step]
                 np.maximum(part, probs[j:j + per, :, a:a + step].transpose(0, 2, 1).copy(),
                            out=part)
-        for k, p in zip(group, probs):
-            state, phi_sum = points[k]
-            joints[k] = BinnedDistribution2D(probs=p, grid=grids[state.r], r=state.r,
-                                             phi_sum=phi_sum, method=PANEL_QUADRATURE)
-    return joints
+        stacks.append((grids[points[group[0]][0].r], group, probs))
+    return stacks
 
 
 def _one_minus_abs_correlation(coeffs: JointGaussianCoefficients) -> float:
@@ -533,16 +528,15 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
                  method: str = PANEL_QUADRATURE) -> BinnedDistribution2D:
     """Full matrix of 2D window probabilities for the joint homodyne law."""
     if method == PANEL_QUADRATURE:
-        return _binned_joints([(state, phi_sum)], delta, tail_epsilon)[0]
-    if method != RECTANGLE_CDF:
+        ((grid, _, (probs,)),) = _binned_joints([(state, phi_sum)], delta, tail_epsilon)
+    elif method == RECTANGLE_CDF:
+        grid = make_grid(state, delta, tail_epsilon)
+        coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
+        z = grid.edges() / coeffs.sigma_marginal
+        probs = _rectangle_cells(z, z, coeffs.correlation, _one_minus_abs_correlation(coeffs))
+    else:
         raise ValueError(f"unknown method {method!r}")
-    grid = make_grid(state, delta, tail_epsilon)
-    coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
-    z = grid.edges() / coeffs.sigma_marginal
-    return BinnedDistribution2D(
-        probs=_rectangle_cells(z, z, coeffs.correlation, _one_minus_abs_correlation(coeffs)),
-        grid=grid, r=state.r, phi_sum=phi_sum, method=method,
-    )
+    return BinnedDistribution2D(probs=probs, grid=grid, r=state.r, phi_sum=phi_sum, method=method)
 
 
 def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: int,

@@ -12,11 +12,13 @@ and at r = 0 by r alone, as it is then bitwise independent of phi_sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse_grain import DEFAULT_TAIL_EPSILON, BinnedDistribution2D, _binned_joints, make_grid
+from .coarse_grain import (
+    DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, BinnedDistribution2D, _binned_joints, make_grid,
+)
 # the benchmark's tracer test reads binned_joint here and in bell
 from .coarse_grain import binned_joint  # noqa: F401
 from .gaussian_core import TmsvParams
@@ -89,10 +91,10 @@ def conditional_entropy(dist: BinnedDistribution2D) -> EntropyTerms:
     """Joint, marginal, and conditional entropies of one binned joint matrix.
 
     Marginals come from summing the matrix itself; s_conditional is
-    S(A|B) = S(A,B) - S(B) and cannot go negative.  A batch of one of
-    _entropy_terms.
+    S(A|B) = S(A,B) - S(B) and cannot go negative.  _entropy_terms of
+    the matrix as a stack of one.
     """
-    return _entropy_terms([dist])[0]
+    return _entropy_terms(dist.probs[None], lambda k: (dist.r, dist.phi_sum, dist.grid.delta))[0]
 
 
 def mutual_information(dist: BinnedDistribution2D) -> float:
@@ -125,52 +127,39 @@ def _part_entropies(values: np.ndarray, starts) -> list[float]:
     return [float(-np.dot(q[a:b], log_q[a:b])) for a, b in zip([0, *ends], ends)]
 
 
-def _entropy_terms(dists) -> list[EntropyTerms]:
-    """Joint and marginal entropies of each joint, taken a matrix shape at a time.
+def _entropy_terms(stack: np.ndarray, name) -> list[EntropyTerms]:
+    """Joint and marginal entropies of each joint of a (joints, n, m) stack.
 
-    The joints of one shape are read as one (joints, n, m) stack.  A joint
-    alone is viewed as a stack of one, so a large matrix, which always forms
-    a batch of its own in _joint_terms, is never copied; several joints are
-    copied into one, which costs less than checking whether they already
-    are one, and holds at most one batch.  The marginals of the stack are
-    its sums along either axis, bitwise those of each joint.  The entries
-    of the stack and of its marginals are checked, and their logarithms
-    taken, for the whole stack at once; each entropy is still its own dot
-    product, so every term is bitwise the shannon of its part.  If a check
-    fails, the parts are checked one joint at a time with shannon, and the
-    first joint that fails raises InvalidDistribution naming it.
+    The stack is read where it is, with no copy: _binned_joints returns the
+    stacks of a kernel pass, and conditional_entropy a stack of one.  The
+    marginals of the stack are its sums along either axis, bitwise those of
+    each joint.  The entries of the stack and of its marginals are checked,
+    and their logarithms taken, for the whole stack at once; each entropy is
+    still its own dot product, so every term is bitwise the shannon of its
+    part.  If a check fails, the parts are checked one joint at a time with
+    shannon, and the first joint k that fails raises InvalidDistribution,
+    naming it by name(k) = (r, phi_sum, Delta).
     """
-    groups = {}
-    for k, d in enumerate(dists):
-        groups.setdefault(d.probs.shape, []).append(k)
-    stacks = []
-    for members in groups.values():
-        stack = dists[members[0]].probs[None] if len(members) == 1 else np.array(
-            [dists[k].probs for k in members])
-        stacks.append((members, stack, stack.sum(axis=2), stack.sum(axis=1)))
+    j, n, m = stack.shape
+    marginal_a, marginal_b = stack.sum(axis=2), stack.sum(axis=1)
+    sums = np.concatenate((stack.reshape(j, n * m).sum(axis=1), marginal_a.sum(axis=1),
+                           marginal_b.sum(axis=1)))
     # Entries of a finite, non-negative stack whose sums lie in the window
     # give marginals that are finite and non-negative too.
-    if not all(stack.size and stack.min() >= 0.0 and _SUM_LO <= sums.min()
-               and sums.max() <= _SUM_HI
-               for _, stack, marginal_a, marginal_b in stacks
-               for sums in [np.concatenate((stack.reshape(len(stack), stack[0].size).sum(axis=1),
-                                            marginal_a.sum(axis=1), marginal_b.sum(axis=1)))]):
-        for d in dists:
+    if not (stack.size and stack.min() >= 0.0 and _SUM_LO <= sums.min()
+            and sums.max() <= _SUM_HI):
+        for k in range(j):
             try:
-                for p in (d.probs.ravel(), d.marginal_a(), d.marginal_b()):
+                for p in (stack[k].ravel(), marginal_a[k], marginal_b[k]):
                     shannon(p)
             except InvalidDistribution as exc:
-                raise InvalidDistribution(f"joint at r={d.r!r}, phi_sum={d.phi_sum!r}, "
-                                          f"Delta={d.grid.delta!r}: {exc}") from None
-    terms = [None] * len(dists)
-    for members, stack, marginal_a, marginal_b in stacks:
-        j, n, m = stack.shape
-        s_joint = _part_entropies(stack.ravel(), range(0, j * n * m, n * m))
-        s_marginals = _part_entropies(np.concatenate((marginal_a.ravel(), marginal_b.ravel())),
-                                      [*range(0, j * n, n), *range(j * n, j * (n + m), m)])
-        for k, s, s_a, s_b in zip(members, s_joint, s_marginals[:j], s_marginals[j:]):
-            terms[k] = EntropyTerms(s, s_a, s_b)
-    return terms
+                r, phi_sum, delta = name(k)
+                raise InvalidDistribution(f"joint at r={r!r}, phi_sum={phi_sum!r}, "
+                                          f"Delta={delta!r}: {exc}") from None
+    s_joint = _part_entropies(stack.ravel(), range(0, j * n * m, n * m))
+    s_marginals = _part_entropies(np.concatenate((marginal_a.ravel(), marginal_b.ravel())),
+                                  [*range(0, j * n, n), *range(j * n, j * (n + m), m)])
+    return [EntropyTerms(*t) for t in zip(s_joint, s_marginals[:j], s_marginals[j:])]
 
 
 def _joint_terms(points, delta_bin: float, tail_epsilon: float,
@@ -183,9 +172,9 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
     the first phi_sum given for it.  The joints are built in batches, each
     closed by the joint that brings it to _BATCH_CELLS cells, a joint
     counting as at least _JOINT_CELLS; each batch runs in one kernel pass,
-    and its joints are dropped once their entropies are taken.  If `joints`
-    is a list, it receives one joint per point instead, carrying that
-    point's phi_sum.
+    whose stacks _entropy_terms reads as they come, and which are dropped
+    once their entropies are taken.  If `joints` is a list, it receives one
+    BinnedDistribution2D per point instead, carrying that point's phi_sum.
     """
     points = list(points)
     keys = [(state.r, abs(phi_sum) if state.r else 0.0) for state, phi_sum in points]
@@ -194,23 +183,28 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
         if key not in index:
             index[key] = len(distinct)
             distinct.append(point)
-    terms, built, start, cells, n_bins = [], [], 0, 0, {}
+    terms, built, start, cells, n_bins = [], {}, 0, 0, {}
     for stop, (state, _) in enumerate(distinct, 1):
         if state.r not in n_bins:
             n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
         cells += max(n_bins[state.r] ** 2, _JOINT_CELLS)
         if cells >= _BATCH_CELLS or stop == len(distinct):
-            batch = _binned_joints(distinct[start:stop], delta_bin, tail_epsilon)
-            terms += _entropy_terms(batch)
-            if joints is not None:
-                built += batch
-            del batch  # freed before the next batch is built
+            stacks = _binned_joints(distinct[start:stop], delta_bin, tail_epsilon)
+            terms += [None] * (stop - start)
+            for grid, ks, stack in stacks:
+                for k, t in zip(ks, _entropy_terms(stack, lambda i: (
+                        distinct[start + ks[i]][0].r, distinct[start + ks[i]][1], delta_bin))):
+                    terms[start + k] = t
+                if joints is not None:
+                    built.update((start + k, (p, grid)) for k, p in zip(ks, stack))
+            del stacks, ks, stack  # freed before the next batch is built
             start, cells = stop, 0
     at = [index[key] for key in keys]
     if joints is not None:
         # a point at -phi_sum, or any point at r = 0, gets the joint built
         # for its key, sharing its probs
-        joints += [replace(built[i], phi_sum=phi_sum) for i, (_, phi_sum) in zip(at, points)]
+        joints += [BinnedDistribution2D(*built[i], state.r, phi_sum, PANEL_QUADRATURE)
+                   for i, (state, phi_sum) in zip(at, points)]
     return [terms[i] for i in at]
 
 

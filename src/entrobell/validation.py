@@ -101,22 +101,29 @@ def check_fock_oracle(quick: bool = False) -> CheckResult:
 
 
 def check_method_agreement(quick: bool = False) -> CheckResult:
-    """Panel quadrature against the rectangle-CDF route, matrix against matrix."""
+    """Panel quadrature against the rectangle-CDF route, matrix against matrix.
+
+    The full suite adds two points on the ridge phi_sum = 0, at r = 6 and 8,
+    where the panels are sized by the conditional slab edge, not by sigma_a.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260817)
     n_sets = 6 if quick else 20
+    draws = [(float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi)),
+              float(np.exp(rng.uniform(np.log(0.5), np.log(100.0))))) for _ in range(n_sets)]
+    if not quick:
+        draws += [(6.0, 0.0, 10.0), (8.0, 0.0, 30.0)]
     worst = 0.0
-    for _ in range(n_sets):
-        state = TmsvParams(float(rng.uniform(0.0, 4.0)))
-        ph = float(rng.uniform(0.0, 2.0 * np.pi))
-        db = float(np.exp(rng.uniform(np.log(0.5), np.log(100.0))))
+    for r, ph, db in draws:
+        state = TmsvParams(r)
         p1 = binned_joint(state, ph, db, method=PANEL_QUADRATURE).probs
         p2 = binned_joint(state, ph, db, method=RECTANGLE_CDF).probs
         worst = max(worst, float(np.max(np.abs(p1 - p2))))
     ok = worst <= 1e-10
     return _finish("method-cross-validation", t0, ok,
                    f"worst |panel - rectangle| = {worst:.2e} "
-                   f"over {n_sets} parameter draws")
+                   f"over {n_sets} parameter draws"
+                   + ("" if quick else " and 2 ridge points"))
 
 
 def check_entropy_bounds(quick: bool = False) -> CheckResult:

@@ -451,13 +451,14 @@ def test_invalid_joint_in_a_batch_is_named(monkeypatch):
     off = []
 
     def one_mass_off(batch, delta_bin, tail_epsilon):
-        joints = batched(batch, delta_bin, tail_epsilon)
-        off.append(joints[2])
-        joints[2] = dataclasses.replace(joints[2], probs=0.99 * joints[2].probs)
-        return joints
+        stacks = batched(batch, delta_bin, tail_epsilon)
+        ((_, ks, stack),) = stacks  # one r, so one grid size
+        off.append(batch[2])
+        stack[ks.index(2)] *= 0.99
+        return stacks
 
     monkeypatch.setattr(entropy, "_binned_joints", one_mass_off)
     with pytest.raises(InvalidDistribution, match="probabilities sum to") as exc:
         scan([1.0], [0.3, 0.6, 0.9], 2.0)
-    (bad,) = off
-    assert f"joint at r={bad.r!r}, phi_sum={bad.phi_sum!r}, Delta=2.0: " in str(exc.value)
+    ((bad_state, bad_phi_sum),) = off
+    assert f"joint at r={bad_state.r!r}, phi_sum={bad_phi_sum!r}, Delta=2.0: " in str(exc.value)

@@ -235,6 +235,18 @@ def test_validate_quick_passes(tmp_path):
     assert "/8 checks passed" in text
 
 
+def test_validate_full_passes(tmp_path):
+    # the full suite, with its larger samples and the two ridge points of the
+    # method check
+    payload = run_json(["validate"], tmp_path)
+    assert payload["quick"] is False
+    assert len(payload["checks"]) == 8
+    assert all(check["passed"] for check in payload["checks"])
+    assert payload["failed"] == []
+    (method,) = [c for c in payload["checks"] if c["name"] == "method-cross-validation"]
+    assert method["detail"].endswith("over 20 parameter draws and 2 ridge points")
+
+
 def test_validate_perturbed_norm_fails(tmp_path, capsys, monkeypatch):
     # joints whose captured mass is off by 1e-3 fail the normalization check alone
     monkeypatch.setattr(BinnedDistribution2D, "captured_mass",

@@ -13,6 +13,7 @@ from entrobell import coarse_grain
 from entrobell import (
     PANEL_QUADRATURE,
     RECTANGLE_CDF,
+    BinnedDistribution2D,
     CoarseGrid,
     GridTooLarge,
     PhaseSettings,
@@ -273,12 +274,20 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
         assert {joint.grid.n_bins for joint in alone} == {1}
 
     def assert_batch_is_alone(order):
-        batch = coarse_grain._binned_joints([points[k] for k in order], delta, 1e-12)
-        for k, joint in zip(order, batch):
-            assert np.array_equal(joint.probs, alone[k].probs)
-            assert joint.captured_mass == alone[k].captured_mass
-            assert (joint.r, joint.phi_sum, joint.grid) == (alone[k].r, alone[k].phi_sum,
-                                                            alone[k].grid)
+        # one (grid, ks, stack) per grid size, stack[i] the joint of point ks[i]
+        stacks = coarse_grain._binned_joints([points[k] for k in order], delta, 1e-12)
+        assert sorted(i for _, ks, _ in stacks for i in ks) == list(range(len(order)))
+        for grid, ks, stack in stacks:
+            assert len(stack) == len(ks)
+            for i, probs in zip(ks, stack):
+                k = order[i]
+                state, phi_sum = points[k]
+                joint = BinnedDistribution2D(probs=probs, grid=grid, r=state.r, phi_sum=phi_sum,
+                                             method=PANEL_QUADRATURE)
+                assert np.array_equal(joint.probs, alone[k].probs)
+                assert joint.captured_mass == alone[k].captured_mass
+                assert (joint.r, joint.phi_sum, joint.grid) == (alone[k].r, alone[k].phi_sum,
+                                                                alone[k].grid)
 
     order = list(range(len(points)))
     assert_batch_is_alone(order)
@@ -286,6 +295,42 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
     assert_batch_is_alone(order[1::2] + order[::2])
     monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", 1)  # one row per block
     assert_batch_is_alone(order[::-1])
+
+
+def test_chunked_node_sums_keep_each_cell_independent_of_its_block(monkeypatch):
+    # a row of more than np.getbufsize() nodes is summed in chunks of that
+    # length; under a 64-element buffer most rows here take several chunks,
+    # and each cell still depends on its own row alone
+    plans, plan = [], coarse_grain._panel_plan
+    monkeypatch.setattr(coarse_grain, "_panel_plan", lambda jobs: plans.append(plan(jobs))
+                        or plans[-1])
+    points = [(TmsvParams(r), phi_sum) for r, phi_sum in [(2.0, 0.01), (1.5, 0.02), (0.0, 0.0)]]
+    whole = {delta: [binned_joint(state, phi_sum, delta) for state, phi_sum in points]
+             for delta in (6.0, 60.0)}
+    old = np.setbufsize(64)
+    try:
+        for delta in (6.0, 60.0):
+            plans.clear()
+            alone = [binned_joint(state, phi_sum, delta) for state, phi_sum in points]
+            # the chunks sum every node once: the cells move by roundoff alone
+            for joint, ref in zip(alone, whole[delta]):
+                np.testing.assert_allclose(joint.probs, ref.probs, rtol=1e-12, atol=0.0)
+            nodes = coarse_grain._PANEL_ORDER * max(p.counts.max() for p in plans)
+            assert nodes > 2 * np.getbufsize()
+            for block_elements in (1, 1 << 10, 1 << 15):
+                monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", block_elements)
+                for _, ks, stack in coarse_grain._binned_joints(points, delta, 1e-12):
+                    for k, probs in zip(ks, stack):
+                        assert np.array_equal(probs, alone[k].probs)
+            for (state, phi_sum), joint in zip(points, alone):
+                c, l_max = coefficients(state, PhaseSettings(0.0, phi_sum)), joint.grid.l_max
+                for l in range(-l_max, l_max + 1):
+                    for m in range(-l_max, l_max + 1):
+                        assert (bin_prob_2d(c, joint.grid, l, m)
+                                == joint.probs[l + l_max, m + l_max])
+    finally:
+        np.setbufsize(old)
+    assert np.getbufsize() == old
 
 
 @pytest.mark.parametrize("delta, points", _MIXED_BATCHES)
@@ -336,7 +381,7 @@ def test_panel_count_follows_the_integrand(monkeypatch):
     # Delta; edge-adapted rows keep that width near their crossings only
     def n_panels(r, phi_sum, delta):
         c = coefficients(TmsvParams(r), PhaseSettings(0.0, phi_sum))
-        return coarse_grain._panel_count(delta, c)
+        return coarse_grain._panel_counts(delta, [c])[0][0]
 
     assert n_panels(0.6, 0.5, 0.3) == 2
     assert n_panels(1.0, 0.05, 0.2) == 1

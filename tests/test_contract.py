@@ -1,6 +1,8 @@
 """The behaviour contract: the public names and the key set of every JSON payload."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,29 @@ def test_public_names_are_frozen_and_resolve():
     assert len(set(entrobell.__all__)) == len(entrobell.__all__)
     for name in PUBLIC_NAMES:
         assert getattr(entrobell, name) is not None
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a module-level _name (function, class or constant) that no module of
+    # the package reads is code kept for the tests alone
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(entrobell.__file__).parent.glob("*.py")}
+    defined, read = set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined |= {(module, t.id) for t in ast.walk(node)
+                            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{module}:{name}" for module, name in defined
+                    if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert unread == []
 
 
 def test_flag_sets_are_frozen():

@@ -169,16 +169,27 @@ def test_wide_bins_lose_all_information():
 
 def test_batched_entropies_are_bitwise_conditional_entropy(monkeypatch):
     # joints of several sizes, a hand-built one with empty and underflowing
-    # cells among them; each term is its joint's own dot product
+    # cells among them; each term is its joint's own dot product, in a stack
+    # of one and in a stack of each size
     joints = [binned_joint(TmsvParams(r), phi_sum, delta)
-              for r, phi_sum, delta in [(1.0, 0.5, 0.5), (0.0, 0.3, 100.0),
-                                        (3.0, 1e-3, 1.5), (1.2, 2.2, 2.0)]]
+              for r, phi_sum, delta in [(1.0, 0.5, 0.5), (0.0, 0.3, 100.0), (0.0, 0.0, 3.5),
+                                        (3.0, 1e-3, 1.5), (1.2, 2.2, 2.0), (1.0, 2.0, 0.5)]]
     joints.insert(2, _manual_dist([[0.5, 0.0, 1e-310], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]]))
+    assert joints[2].probs.shape == joints[3].probs.shape
     alone = [EntropyTerms(shannon(d.probs), shannon(d.marginal_a()), shannon(d.marginal_b()))
              for d in joints]
+
+    def name(k):
+        raise AssertionError("a joint is named only when a check fails")
+
     for order in (range(len(joints)), range(len(joints) - 1, -1, -1)):
-        batch = [joints[k] for k in order]
-        assert entropy._entropy_terms(batch) == [alone[k] for k in order]
+        shapes = {}
+        for k in order:
+            assert entropy._entropy_terms(joints[k].probs[None], name) == [alone[k]]
+            shapes.setdefault(joints[k].probs.shape, []).append(k)
+        for ks in shapes.values():
+            stack = np.array([joints[k].probs for k in ks])
+            assert entropy._entropy_terms(stack, name) == [alone[k] for k in ks]
     assert [conditional_entropy(d) for d in joints] == alone
     # s_qm of a point is its joint's, whatever the batch size
     points = [(TmsvParams(r), phi_sum) for r, phi_sum in [(0.5, 0.1), (1.5, 2.0), (0.0, 0.0)]]
@@ -199,7 +210,7 @@ def test_entropies_of_a_large_joint_peak_below_its_kernel():
         kernel = tracemalloc.get_traced_memory()[1] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        terms = entropy._entropy_terms([joint])
+        terms = entropy._entropy_terms(joint.probs[None], lambda k: (1.0, 0.5, 0.045))
         step = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
