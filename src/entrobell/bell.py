@@ -15,6 +15,13 @@ certifies that no noncontextual joint assignment reproduces the binned
 statistics.  This module evaluates the functional, scans it over parameter
 grids, and minimises it over (r, delta).  It only lists the phase sums each
 value reads; entropy._joint_terms decides which of them share a joint.
+
+Where the grid has one bin per record (Delta >= 2 k sigma), every outcome
+is certain and each S_qm is exactly 0, so d_qm_value, scan, scan_zero_delta
+and minimize read d_qm = 0.0 there without building a joint (see
+entropy._s_qm_values); the kernel gives the same +0.0 bit for bit.
+evaluate builds the four pair joints at every point, as its terms and
+mutual-information margin read them.
 """
 
 from __future__ import annotations

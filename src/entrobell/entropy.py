@@ -8,6 +8,13 @@ S(A|B) = S(A,B) - S(B) >= 0 at roundoff level, so it is never done here.
 _joint_terms is the one place that decides which requested joints are the
 same: a joint is keyed by (r, |phi_sum|), as it is bitwise even in phi_sum,
 and at r = 0 by r alone, as it is then bitwise independent of phi_sum.
+
+A grid of one bin (Delta >= 2 k sigma, k the coverage multiple of
+tail_epsilon) gives each record a single outcome, which carries no entropy:
+S(A|B) of its 1 x 1 joint is S(A,B) - S(B) = -p ln p + p ln p, exactly
++0.0 whatever the cell p holds.  _s_qm_values, the one entry of the d_qm
+path, returns that 0.0 without building the joint; every caller that reads
+the cell itself still builds it.
 """
 
 from __future__ import annotations
@@ -162,8 +169,18 @@ def _entropy_terms(stack: np.ndarray, name) -> list[EntropyTerms]:
     return [EntropyTerms(*t) for t in zip(s_joint, s_marginals[:j], s_marginals[j:])]
 
 
+def _grid_sizes(points, delta_bin: float, tail_epsilon: float) -> dict[float, int]:
+    """n_bins of the grid at each distinct r of `points`: one make_grid per r."""
+    n_bins = {}
+    for state, _ in points:
+        if state.r not in n_bins:
+            n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
+    return n_bins
+
+
 def _joint_terms(points, delta_bin: float, tail_epsilon: float,
-                 joints: list | None = None) -> list[EntropyTerms]:
+                 joints: list | None = None,
+                 n_bins: dict[float, int] | None = None) -> list[EntropyTerms]:
     """conditional_entropy of the binned_joint at each (state, phi_sum) of `points`, bitwise.
 
     The one place that decides which points share a joint: the joint is
@@ -175,6 +192,7 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
     whose stacks _entropy_terms reads as they come, and which are dropped
     once their entropies are taken.  If `joints` is a list, it receives one
     BinnedDistribution2D per point instead, carrying that point's phi_sum.
+    `n_bins` is the _grid_sizes of the points, if the caller has it already.
     """
     points = list(points)
     keys = [(state.r, abs(phi_sum) if state.r else 0.0) for state, phi_sum in points]
@@ -183,10 +201,10 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
         if key not in index:
             index[key] = len(distinct)
             distinct.append(point)
-    terms, built, start, cells, n_bins = [], {}, 0, 0, {}
+    if n_bins is None:
+        n_bins = _grid_sizes(distinct, delta_bin, tail_epsilon)
+    terms, built, start, cells = [], {}, 0, 0
     for stop, (state, _) in enumerate(distinct, 1):
-        if state.r not in n_bins:
-            n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
         cells += max(n_bins[state.r] ** 2, _JOINT_CELLS)
         if cells >= _BATCH_CELLS or stop == len(distinct):
             stacks = _binned_joints(distinct[start:stop], delta_bin, tail_epsilon)
@@ -209,5 +227,18 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
 
 
 def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
-    """s_qm at each (state, phi_sum) of `points`, bitwise, through _joint_terms."""
-    return [terms.s_conditional for terms in _joint_terms(points, delta_bin, tail_epsilon)]
+    """s_qm at each (state, phi_sum) of `points`, bitwise, through _joint_terms.
+
+    The one entry of s_qm, d_qm_value, scan, scan_zero_delta and minimize.
+    A point whose grid has one bin gets 0.0 and builds no joint: its record
+    has one outcome, and the 1 x 1 joint's S(A,B) and S(B) are the same
+    -p ln p, so the kernel's S(A|B) is exactly +0.0 too.  evaluate (and
+    eval, with --mutual-info and --dump-dist), conditional_entropy,
+    binned_joint and bin_prob_2d read the cell itself, so they still build
+    every joint.
+    """
+    points = list(points)
+    n_bins = _grid_sizes(points, delta_bin, tail_epsilon)
+    terms = iter(_joint_terms([(state, phi_sum) for state, phi_sum in points
+                               if n_bins[state.r] > 1], delta_bin, tail_epsilon, n_bins=n_bins))
+    return [next(terms).s_conditional if n_bins[state.r] > 1 else 0.0 for state, _ in points]

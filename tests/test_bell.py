@@ -432,6 +432,53 @@ def test_wide_bin_minimize_slab_work_is_bounded(monkeypatch):
     assert sum(elements) <= 260704
 
 
+# -- one bin per record: one outcome, zero entropy --------------------------------
+
+ONE_BIN_PHASE_SUMS = (0.0, 1e-3, 0.5, math.pi / 2, 2.0, math.pi)
+
+
+@pytest.mark.parametrize("delta_bin", [20.0, 30.0, 50.0, 100.0, 300.0])
+def test_one_bin_s_qm_is_the_kernels_exact_zero(delta_bin):
+    # Delta >= 2 k sigma: each record has one outcome.  The d_qm path skips
+    # the joint, and the value it skips is the kernel's +0.0, bit for bit
+    states = [TmsvParams(r) for r in np.linspace(0.0, 2.0, 21)
+              if coarse_grain.make_grid(TmsvParams(r), delta_bin).n_bins == 1]
+    assert len(states) >= 11
+    for state in states:
+        for phi_sum in ONE_BIN_PHASE_SUMS:
+            joint = binned_joint(state, phi_sum, delta_bin)
+            kernel = conditional_entropy(joint).s_conditional
+            assert kernel == 0.0 and math.copysign(1.0, kernel) == 1.0
+            value = s_qm(state, phi_sum, delta_bin)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            assert d_qm_value(state, phi_sum, delta_bin) == 0.0
+            assert evaluate(state, AngleGeometry(phi_sum), delta_bin).d_qm == 0.0
+            assert 1.0 - joint.grid.tail_epsilon <= joint.captured_mass <= 1.0
+
+
+def test_one_bin_points_build_no_joint_on_the_d_qm_path(built, monkeypatch):
+    # every grid of r <= 2 at Delta = 100 has one bin
+    res = minimize((0.0, 2.0), (0.0, math.pi), 100.0)
+    assert built == []
+    assert res.d_min == res.coarse_d_min == 0.0
+    # at Delta = 30 the grids of r <= 1.43 have one bin, the others three: only
+    # those are built, and the search is bitwise the one that builds them all
+    opts = MinimizeOptions(coarse_points=8, refine_starts=2)
+    res = minimize((0.0, 2.0), (0.0, math.pi), 30.0, options=opts)
+    assert built
+    assert {coarse_grain.make_grid(TmsvParams(r), 30.0).n_bins
+            for batch in built for r, _ in batch} == {3}
+    monkeypatch.setattr(bell, "_s_qm_values", lambda points, delta_bin, tail_epsilon: [
+        t.s_conditional for t in entropy._joint_terms(points, delta_bin, tail_epsilon)])
+    assert minimize((0.0, 2.0), (0.0, math.pi), 30.0, options=opts) == res
+    # evaluate reads the cells, so it still builds a one-bin point's joints
+    built.clear()
+    evaluate(TmsvParams(0.5), AngleGeometry(0.6), 100.0)
+    (batch,) = built
+    assert len(batch) == 3
+    assert {coarse_grain.make_grid(TmsvParams(r), 100.0).n_bins for r, _ in batch} == {1}
+
+
 def test_compute_paths_sum_no_mass(monkeypatch):
     # the captured mass is summed where it is read, never while joints are built
     calls = []

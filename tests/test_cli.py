@@ -508,6 +508,23 @@ def test_extreme_squeezing_exits_3(argv, capsys):
     assert line.startswith("entrobell: numeric failure:")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["scan", "--Delta", "3000", "--r-range", "6", "6", "--r-points", "1",
+      "--delta-points", "2"], "d_qm"),
+    (["minimize", "--Delta", "3000", "--r-range", "5", "6"], "d_min"),
+], ids=["scan", "minimize"])
+def test_one_bin_ridge_is_an_exact_zero_where_its_joint_exceeds_the_panel_cap(
+        argv, key, tmp_path, capsys):
+    # at Delta = 3000 every grid of r <= 6 has one bin, so d_qm is exactly 0
+    # and scan and minimize build no joint; eval reads the joint's cells, and
+    # its uniform panels at r = 6 on the ridge exceed the panel cap
+    payload = run_json(argv, tmp_path)
+    assert np.ravel(payload[key]).tolist() in ([0.0], [0.0, 0.0])
+    assert exit_code(["eval", "--r", "6", "--delta", "0", "--Delta", "3000"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("entrobell: numeric failure: window needs 605144 panels")
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--Delta", "6", "--coarse-points", "4", "--refine-starts", "-1"],
     ["minimize", "--Delta", "6", "--coarse-points", "0"],
