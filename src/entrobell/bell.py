@@ -190,15 +190,17 @@ def _evaluate_with_joints(state: TmsvParams, theta: float, theta_prime: float,
                           joints: list | None = None) -> BellEvaluation:
     """`evaluate_general`, with the four pair joints in one _joint_terms call.
 
-    If `joints` is a list, it receives the joints of (A,B'), (A',B'),
-    (A',B) and (A,B), each carrying its own phase sum.
+    The one grid of the request is made here, and read by the joints and
+    by grid_l_max.  If `joints` is a list, it receives the joints of
+    (A,B'), (A',B'), (A',B) and (A,B), each carrying its own phase sum.
     """
     sums = _pair_sums(theta, theta_prime, phi, phi_prime)
+    grid = make_grid(state, delta_bin, tail_epsilon)
     return BellEvaluation(
         r=state.r, delta_bin=delta_bin, tail_epsilon=tail_epsilon,
         theta=theta, theta_prime=theta_prime, phi=phi, phi_prime=phi_prime,
-        terms=tuple(_joint_terms([(state, s) for s in sums], delta_bin, tail_epsilon, joints)),
-        grid_l_max=make_grid(state, delta_bin, tail_epsilon).l_max, delta=delta,
+        terms=tuple(_joint_terms([(state, s) for s in sums], {state.r: grid}, joints)),
+        grid_l_max=grid.l_max, delta=delta,
     )
 
 

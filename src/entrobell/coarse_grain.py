@@ -38,7 +38,9 @@ Two independent routes compute the probability of a 2D cell:
   the columns m in [l, -l].  Every other cell is copied from its wedge
   representative, so the returned matrix is exactly symmetric.
   The wedge rows of many joints at one bin width are computed in one pass
-  (_binned_joints; binned_joint is a batch of one).  _panel_plan first lays
+  (_binned_joints; binned_joint is a batch of one).  Each joint's grid is
+  made where the request enters, once per distinct r (_grids for a point
+  list), and handed down: the kernel makes none.  _panel_plan first lays
   the pass out, before any slab is evaluated: every row's clip, band and
   panels, the blocks, and the exact number of slab elements (ndtr
   evaluations) and bytes.  Rows with equal panel counts, sorted by band
@@ -322,13 +324,15 @@ class _PanelPlan:
 
 
 def _panel_plan(jobs) -> _PanelPlan:
-    """Lay out a _panel_rows pass: each row's clip, band and panels, and the blocks.
+    """Lay out one kernel pass: each row's clip, band and panels, and the blocks.
 
-    The clip, the band and the choice between uniform and edge-adapted
-    panels are those of the module docstring.  Rows of equal panel count,
-    sorted by band width, form blocks of at most _BLOCK_ELEMENTS (rows,
-    edges, nodes) elements at the band width of their last and widest row,
-    or one row.
+    `jobs` holds one (state, coeffs, grid, windows) per joint, every grid of
+    one bin width and tail_epsilon, each window l <= 0; _integrate then
+    evaluates the plan.  The clip, the band and the choice between uniform
+    and edge-adapted panels are those of the module docstring.  Rows of
+    equal panel count, sorted by band width, form blocks of at most
+    _BLOCK_ELEMENTS (rows, edges, nodes) elements at the band width of
+    their last and widest row, or one row.
     """
     grid = jobs[0][2]
     delta, cut = grid.delta, max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
@@ -430,7 +434,12 @@ def _panel_plan(jobs) -> _PanelPlan:
 
 
 def _integrate(plan: _PanelPlan) -> np.ndarray:
-    """The cells of a plan, every joint's rows end to end (_panel_rows), block by block."""
+    """The cells of a plan, block by block: the wedge rows of every joint end to end.
+
+    Each row is n_bins long, in the order of the `jobs` given to
+    _panel_plan and of their windows.  Row l holds the panel-quadrature
+    cell probabilities of the columns m in [l, -l] and zeros elsewhere.
+    """
     x1, wts = _GL16[0] + 1.0, _GL16[1]
     out = np.zeros(plan.size + 1)
     chunk = np.getbufsize()
@@ -462,33 +471,28 @@ def _integrate(plan: _PanelPlan) -> np.ndarray:
     return out[:-1]
 
 
-def _panel_rows(jobs) -> np.ndarray:
-    """Wedge rows of several joints at one bin width and tail_epsilon, in one pass.
-
-    `jobs` holds one (state, coeffs, grid, windows) per joint, each window
-    l <= 0; the result holds the rows of every joint end to end, each
-    n_bins long, in the order of `jobs` and `windows`.  Row l holds the
-    panel-quadrature cell probabilities of the columns m in [l, -l] and
-    zeros elsewhere.  _panel_plan lays the pass out; _integrate evaluates it.
-    """
-    return _integrate(_panel_plan(jobs))
-
-
-def _binned_joints(points, delta: float,
-                   tail_epsilon: float) -> list[tuple[CoarseGrid, list[int], np.ndarray]]:
-    """Panel-quadrature joints of many (state, phi_sum) points at one bin width, as stacks.
-
-    All their wedge rows run through one _panel_rows pass, the joints of
-    one grid size next to each other, and the matrices of each size are
-    unfolded as one (joints, n, n) stack.  The result holds one
-    (grid, ks, stack) per grid size, stack[i] the joint of points[ks[i]].
-    Each joint is bitwise the binned_joint of its point: the batch only
-    schedules work.
-    """
-    points, grids = list(points), {}
+def _grids(points, delta: float, tail_epsilon: float) -> dict[float, CoarseGrid]:
+    """The make_grid of each distinct r of the (state, phi_sum) `points`, keyed by r."""
+    grids = {}
     for state, _ in points:
         if state.r not in grids:
             grids[state.r] = make_grid(state, delta, tail_epsilon)
+    return grids
+
+
+def _binned_joints(points, grids: dict[float, CoarseGrid]
+                   ) -> list[tuple[CoarseGrid, list[int], np.ndarray]]:
+    """Panel-quadrature joints of many (state, phi_sum) points at one bin width, as stacks.
+
+    `grids` maps the r of every point to its grid, all of one bin width and
+    tail_epsilon; the caller makes them (_grids), and this makes none.  All
+    the wedge rows run through one kernel pass, the joints of one grid size
+    next to each other, and the matrices of each size are unfolded as one
+    (joints, n, n) stack.  The result holds one (grid, ks, stack) per grid
+    size, stack[i] the joint of points[ks[i]].  Each joint is bitwise the
+    binned_joint of its point: the batch only schedules work.
+    """
+    points = list(points)
     lmax = [grids[state.r].l_max for state, _ in points]
     order = sorted(range(len(points)), key=lmax.__getitem__)
     jobs = []
@@ -496,7 +500,7 @@ def _binned_joints(points, delta: float,
         state, phi_sum = points[k]
         jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grids[state.r],
                      range(-lmax[k], 1)))
-    rows, stacks, start = _panel_rows(jobs), [], 0
+    rows, stacks, start = _integrate(_panel_plan(jobs)), [], 0
     for l, group in groupby(order, key=lmax.__getitem__):
         group, n = list(group), 2 * l + 1
         wedges = rows[start:start + len(group) * (l + 1) * n].reshape(len(group), l + 1, n)
@@ -527,10 +531,10 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
                  tail_epsilon: float = DEFAULT_TAIL_EPSILON,
                  method: str = PANEL_QUADRATURE) -> BinnedDistribution2D:
     """Full matrix of 2D window probabilities for the joint homodyne law."""
+    grid = make_grid(state, delta, tail_epsilon)
     if method == PANEL_QUADRATURE:
-        ((grid, _, (probs,)),) = _binned_joints([(state, phi_sum)], delta, tail_epsilon)
+        ((_, _, (probs,)),) = _binned_joints([(state, phi_sum)], {state.r: grid})
     elif method == RECTANGLE_CDF:
-        grid = make_grid(state, delta, tail_epsilon)
         coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
         z = grid.edges() / coeffs.sigma_marginal
         probs = _rectangle_cells(z, z, coeffs.correlation, _one_minus_abs_correlation(coeffs))
@@ -546,7 +550,7 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     if method == PANEL_QUADRATURE:
         a, b = _wedge(l, m)
-        row = _panel_rows([(TmsvParams(coeffs.r), coeffs, grid, [a])])
+        row = _integrate(_panel_plan([(TmsvParams(coeffs.r), coeffs, grid, [a])]))
         return float(row[b + grid.l_max])
     if method == RECTANGLE_CDF:
         z = grid.edges() / coeffs.sigma_marginal

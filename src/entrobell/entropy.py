@@ -7,14 +7,16 @@ S(A|B) = S(A,B) - S(B) >= 0 at roundoff level, so it is never done here.
 
 _joint_terms is the one place that decides which requested joints are the
 same: a joint is keyed by (r, |phi_sum|), as it is bitwise even in phi_sum,
-and at r = 0 by r alone, as it is then bitwise independent of phi_sum.
+and at r = 0 by r alone, as it is then bitwise independent of phi_sum.  It
+makes no grid: it reads each point's size and Delta from the grid its
+caller made for that r, once per request (coarse_grain._grids).
 
 A grid of one bin (Delta >= 2 k sigma, k the coverage multiple of
 tail_epsilon) gives each record a single outcome, which carries no entropy:
 S(A|B) of its 1 x 1 joint is S(A,B) - S(B) = -p ln p + p ln p, exactly
 +0.0 whatever the cell p holds.  _s_qm_values, the one entry of the d_qm
-path, returns that 0.0 without building the joint; every caller that reads
-the cell itself still builds it.
+path, makes the grid of each distinct r once, and returns that 0.0 without
+building the joint; every caller that reads the cell itself still builds it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarse_grain import (
-    DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, BinnedDistribution2D, _binned_joints, make_grid,
+    DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, BinnedDistribution2D, CoarseGrid, _binned_joints,
+    _grids,
 )
 # the benchmark's tracer test reads binned_joint here and in bell
 from .coarse_grain import binned_joint  # noqa: F401
@@ -89,9 +92,7 @@ def shannon(probs) -> float:
         raise InvalidDistribution(
             f"probabilities sum to {total!r}, outside [{_SUM_LO}, {_SUM_HI}]"
         )
-    mask = p > PROBABILITY_FLOOR
-    q = p[mask]
-    return float(-np.dot(q, np.log(q)))
+    return _part_entropies(p, [0])[0]
 
 
 def conditional_entropy(dist: BinnedDistribution2D) -> EntropyTerms:
@@ -169,18 +170,8 @@ def _entropy_terms(stack: np.ndarray, name) -> list[EntropyTerms]:
     return [EntropyTerms(*t) for t in zip(s_joint, s_marginals[:j], s_marginals[j:])]
 
 
-def _grid_sizes(points, delta_bin: float, tail_epsilon: float) -> dict[float, int]:
-    """n_bins of the grid at each distinct r of `points`: one make_grid per r."""
-    n_bins = {}
-    for state, _ in points:
-        if state.r not in n_bins:
-            n_bins[state.r] = make_grid(state, delta_bin, tail_epsilon).n_bins
-    return n_bins
-
-
-def _joint_terms(points, delta_bin: float, tail_epsilon: float,
-                 joints: list | None = None,
-                 n_bins: dict[float, int] | None = None) -> list[EntropyTerms]:
+def _joint_terms(points, grids: dict[float, CoarseGrid],
+                 joints: list | None = None) -> list[EntropyTerms]:
     """conditional_entropy of the binned_joint at each (state, phi_sum) of `points`, bitwise.
 
     The one place that decides which points share a joint: the joint is
@@ -190,9 +181,10 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
     closed by the joint that brings it to _BATCH_CELLS cells, a joint
     counting as at least _JOINT_CELLS; each batch runs in one kernel pass,
     whose stacks _entropy_terms reads as they come, and which are dropped
-    once their entropies are taken.  If `joints` is a list, it receives one
-    BinnedDistribution2D per point instead, carrying that point's phi_sum.
-    `n_bins` is the _grid_sizes of the points, if the caller has it already.
+    once their entropies are taken.  `grids` maps the r of every point to
+    its grid, all of one bin width (coarse_grain._grids); each point's size
+    and Delta are read from it.  If `joints` is a list, it also receives one
+    BinnedDistribution2D per point, carrying that point's phi_sum.
     """
     points = list(points)
     keys = [(state.r, abs(phi_sum) if state.r else 0.0) for state, phi_sum in points]
@@ -201,17 +193,15 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
         if key not in index:
             index[key] = len(distinct)
             distinct.append(point)
-    if n_bins is None:
-        n_bins = _grid_sizes(distinct, delta_bin, tail_epsilon)
     terms, built, start, cells = [], {}, 0, 0
     for stop, (state, _) in enumerate(distinct, 1):
-        cells += max(n_bins[state.r] ** 2, _JOINT_CELLS)
+        cells += max(grids[state.r].n_bins ** 2, _JOINT_CELLS)
         if cells >= _BATCH_CELLS or stop == len(distinct):
-            stacks = _binned_joints(distinct[start:stop], delta_bin, tail_epsilon)
+            stacks = _binned_joints(distinct[start:stop], grids)
             terms += [None] * (stop - start)
             for grid, ks, stack in stacks:
                 for k, t in zip(ks, _entropy_terms(stack, lambda i: (
-                        distinct[start + ks[i]][0].r, distinct[start + ks[i]][1], delta_bin))):
+                        distinct[start + ks[i]][0].r, distinct[start + ks[i]][1], grid.delta))):
                     terms[start + k] = t
                 if joints is not None:
                     built.update((start + k, (p, grid)) for k, p in zip(ks, stack))
@@ -229,7 +219,8 @@ def _joint_terms(points, delta_bin: float, tail_epsilon: float,
 def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
     """s_qm at each (state, phi_sum) of `points`, bitwise, through _joint_terms.
 
-    The one entry of s_qm, d_qm_value, scan, scan_zero_delta and minimize.
+    The one entry of s_qm, d_qm_value, scan, scan_zero_delta and minimize,
+    and the one place their grids are made: one per distinct r.
     A point whose grid has one bin gets 0.0 and builds no joint: its record
     has one outcome, and the 1 x 1 joint's S(A,B) and S(B) are the same
     -p ln p, so the kernel's S(A|B) is exactly +0.0 too.  evaluate (and
@@ -238,7 +229,8 @@ def _s_qm_values(points, delta_bin: float, tail_epsilon: float) -> list[float]:
     every joint.
     """
     points = list(points)
-    n_bins = _grid_sizes(points, delta_bin, tail_epsilon)
+    grids = _grids(points, delta_bin, tail_epsilon)
     terms = iter(_joint_terms([(state, phi_sum) for state, phi_sum in points
-                               if n_bins[state.r] > 1], delta_bin, tail_epsilon, n_bins=n_bins))
-    return [next(terms).s_conditional if n_bins[state.r] > 1 else 0.0 for state, _ in points]
+                               if grids[state.r].n_bins > 1], grids))
+    return [next(terms).s_conditional if grids[state.r].n_bins > 1 else 0.0
+            for state, _ in points]

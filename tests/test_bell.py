@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -174,13 +175,13 @@ def test_evaluate_terms_are_the_pair_joints_entropies(theta):
                                                (3.0, [1.0, 3.0])])
 def test_evaluate_builds_each_distinct_joint_once(monkeypatch, delta, phase_sums):
     calls = []
-    panel_rows = coarse_grain._panel_rows
+    panel_plan = coarse_grain._panel_plan
 
     def counted(jobs):
         calls.append([coeffs.phi_sum for _, coeffs, _, _ in jobs])
-        return panel_rows(jobs)
+        return panel_plan(jobs)
 
-    monkeypatch.setattr(coarse_grain, "_panel_rows", counted)
+    monkeypatch.setattr(coarse_grain, "_panel_plan", counted)
     evaluate(TmsvParams(1.0), AngleGeometry(delta), 1.5)
     assert calls == [phase_sums]
 
@@ -318,9 +319,9 @@ def built(monkeypatch):
     batches = []
     batched = entropy._binned_joints
 
-    def counted(batch, delta_bin, tail_epsilon):
+    def counted(batch, grids):
         batches.append([(state.r, phi_sum) for state, phi_sum in batch])
-        return batched(batch, delta_bin, tail_epsilon)
+        return batched(batch, grids)
 
     monkeypatch.setattr(entropy, "_binned_joints", counted)
     return batches
@@ -419,6 +420,48 @@ def test_minimize_builds_each_coarse_joint_once(built):
     assert res.n_evaluations == 6 * len(d_grid) + len(steps) == 144
 
 
+@pytest.fixture
+def grids_made(monkeypatch):
+    """The r of every make_grid call, counted at each module binding of the package."""
+    calls = []
+    make = coarse_grain.make_grid
+
+    def counted(state, *args):
+        calls.append(state.r)
+        return make(state, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "entrobell" and getattr(module, "make_grid", None) is make:
+            monkeypatch.setattr(module, "make_grid", counted)
+    return calls
+
+
+def test_each_request_makes_one_grid_per_distinct_r(grids_made):
+    # the grid of an r is made once, where the request enters, and handed
+    # down to the kernel, which makes none
+    state = TmsvParams(1.0)
+    assert evaluate(state, AngleGeometry(0.6), 2.0).grid_l_max > 0
+    assert grids_made == [1.0]
+    grids_made.clear()
+    s_qm(state, 0.4, 2.0)
+    assert grids_made == [1.0]
+    for method in (coarse_grain.PANEL_QUADRATURE, coarse_grain.RECTANGLE_CDF):
+        grids_made.clear()
+        binned_joint(state, 0.4, 2.0, method=method)
+        assert grids_made == [1.0]
+    # at Delta = 30 the grid of r = 0.5 has one bin and that of r = 2 three:
+    # a one-bin point builds no joint, but its grid is still made once
+    for delta_bin, r_vals in [(2.0, (0.0, 0.5, 1.0, 0.5, 0.0)), (30.0, (0.5, 2.0, 0.5))]:
+        points = [(TmsvParams(r), phi_sum) for r in r_vals for phi_sum in (0.3, -0.9)]
+        grids_made.clear()
+        entropy._s_qm_values(points, delta_bin, 1e-12)
+        assert sorted(grids_made) == sorted(set(r_vals))
+        grids = coarse_grain._grids(points, delta_bin, 1e-12)
+        grids_made.clear()
+        coarse_grain._binned_joints(points, grids)
+        assert grids_made == []
+
+
 def test_wide_bin_minimize_slab_work_is_bounded(monkeypatch):
     # a deterministic count of the kernel's slab elements (one ndtr each);
     # with uniform panels and one r = 0 joint per phase sum it is 486080
@@ -469,7 +512,8 @@ def test_one_bin_points_build_no_joint_on_the_d_qm_path(built, monkeypatch):
     assert {coarse_grain.make_grid(TmsvParams(r), 30.0).n_bins
             for batch in built for r, _ in batch} == {3}
     monkeypatch.setattr(bell, "_s_qm_values", lambda points, delta_bin, tail_epsilon: [
-        t.s_conditional for t in entropy._joint_terms(points, delta_bin, tail_epsilon)])
+        t.s_conditional for t in entropy._joint_terms(
+            points, coarse_grain._grids(points, delta_bin, tail_epsilon))])
     assert minimize((0.0, 2.0), (0.0, math.pi), 30.0, options=opts) == res
     # evaluate reads the cells, so it still builds a one-bin point's joints
     built.clear()
@@ -497,8 +541,8 @@ def test_invalid_joint_in_a_batch_is_named(monkeypatch):
     batched = entropy._binned_joints
     off = []
 
-    def one_mass_off(batch, delta_bin, tail_epsilon):
-        stacks = batched(batch, delta_bin, tail_epsilon)
+    def one_mass_off(batch, grids):
+        stacks = batched(batch, grids)
         ((_, ks, stack),) = stacks  # one r, so one grid size
         off.append(batch[2])
         stack[ks.index(2)] *= 0.99

@@ -126,9 +126,9 @@ def test_dump_dist_reuses_the_four_joints(tmp_path, monkeypatch):
     batches = []
     batched = entropy._binned_joints
 
-    def counted(points, delta_bin, tail_epsilon):
+    def counted(points, grids):
         batches.append([phi_sum for _, phi_sum in points])
-        return batched(points, delta_bin, tail_epsilon)
+        return batched(points, grids)
 
     monkeypatch.setattr(entropy, "_binned_joints", counted)
     prefix = tmp_path / "joint"

@@ -221,13 +221,13 @@ def test_joint_matrix_symmetries():
 
 def test_joint_integrates_only_the_wedge_rows(monkeypatch):
     calls = []
-    panel_rows = coarse_grain._panel_rows
+    panel_plan = coarse_grain._panel_plan
 
     def counted(jobs):
         calls.extend(list(windows) for *_, windows in jobs)
-        return panel_rows(jobs)
+        return panel_plan(jobs)
 
-    monkeypatch.setattr(coarse_grain, "_panel_rows", counted)
+    monkeypatch.setattr(coarse_grain, "_panel_plan", counted)
     joint = binned_joint(TmsvParams(1.0), 0.5, 0.5)
     assert joint.grid.l_max > 5
     assert calls == [list(range(-joint.grid.l_max, 1))]
@@ -275,7 +275,8 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
 
     def assert_batch_is_alone(order):
         # one (grid, ks, stack) per grid size, stack[i] the joint of point ks[i]
-        stacks = coarse_grain._binned_joints([points[k] for k in order], delta, 1e-12)
+        batch = [points[k] for k in order]
+        stacks = coarse_grain._binned_joints(batch, coarse_grain._grids(batch, delta, 1e-12))
         assert sorted(i for _, ks, _ in stacks for i in ks) == list(range(len(order)))
         for grid, ks, stack in stacks:
             assert len(stack) == len(ks)
@@ -319,7 +320,8 @@ def test_chunked_node_sums_keep_each_cell_independent_of_its_block(monkeypatch):
             assert nodes > 2 * np.getbufsize()
             for block_elements in (1, 1 << 10, 1 << 15):
                 monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", block_elements)
-                for _, ks, stack in coarse_grain._binned_joints(points, delta, 1e-12):
+                grids = coarse_grain._grids(points, delta, 1e-12)
+                for _, ks, stack in coarse_grain._binned_joints(points, grids):
                     for k, probs in zip(ks, stack):
                         assert np.array_equal(probs, alone[k].probs)
             for (state, phi_sum), joint in zip(points, alone):
@@ -349,7 +351,7 @@ def test_panel_plan_counts_its_slab_elements(monkeypatch, delta, points):
         monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", block_elements)
         plans.clear()
         elements.clear()
-        coarse_grain._binned_joints(points, delta, 1e-12)
+        coarse_grain._binned_joints(points, coarse_grain._grids(points, delta, 1e-12))
         (only,) = plans
         assert sum(elements) == only.slab_elements > 0
         assert len(elements) == len(only.blocks) - 1

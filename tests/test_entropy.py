@@ -230,13 +230,14 @@ def test_joint_terms_builds_each_r_and_phase_magnitude_once(monkeypatch):
     batches = []
     batched = entropy._binned_joints
 
-    def counted(batch, delta_bin, tail_epsilon):
+    def counted(batch, grids):
         batches.append([phi_sum for _, phi_sum in batch])
-        return batched(batch, delta_bin, tail_epsilon)
+        return batched(batch, grids)
 
     monkeypatch.setattr(entropy, "_binned_joints", counted)
     joints = []
-    assert entropy._joint_terms(points, 1.5, 1e-12, joints) == expected
+    assert entropy._joint_terms(points, coarse_grain._grids(points, 1.5, 1e-12),
+                                joints) == expected
     assert batches == [[0.4, -0.7]]
     assert [(d.r, d.phi_sum) for d in joints] == [(state.r, phi) for state, phi in points]
     assert joints[0].probs is joints[1].probs is joints[2].probs
@@ -253,13 +254,14 @@ def test_joint_terms_builds_one_joint_at_zero_squeezing(monkeypatch):
     batches = []
     batched = entropy._binned_joints
 
-    def counted(batch, delta_bin, tail_epsilon):
+    def counted(batch, grids):
         batches.append([(state.r, phi_sum) for state, phi_sum in batch])
-        return batched(batch, delta_bin, tail_epsilon)
+        return batched(batch, grids)
 
     monkeypatch.setattr(entropy, "_binned_joints", counted)
     joints = []
-    assert entropy._joint_terms(points, 3.5, 1e-12, joints) == expected
+    assert entropy._joint_terms(points, coarse_grain._grids(points, 3.5, 1e-12),
+                                joints) == expected
     assert batches == [[(0.0, 0.3), (1.0, 0.3)]]
     assert [(d.r, d.phi_sum) for d in joints] == [(state.r, phi) for state, phi in points]
     assert joints[0].probs is joints[2].probs is joints[3].probs
@@ -269,13 +271,13 @@ def test_s_qm_builds_its_joint_at_the_phase_sum_given(monkeypatch):
     # a one-point call runs the kernel at -phi, so the evenness checks compare
     # two kernel runs rather than one joint with itself
     seen = []
-    rows = coarse_grain._panel_rows
+    plan = coarse_grain._panel_plan
 
     def recorded(jobs):
         seen.extend(coeffs.phi_sum for _, coeffs, _, _ in jobs)
-        return rows(jobs)
+        return plan(jobs)
 
-    monkeypatch.setattr(coarse_grain, "_panel_rows", recorded)
+    monkeypatch.setattr(coarse_grain, "_panel_plan", recorded)
     s_qm(TmsvParams(1.0), -0.4, 1.5)
     assert seen == [-0.4]
 
