@@ -46,11 +46,12 @@ Two independent routes compute the probability of a 2D cell:
   evaluations) and bytes.  Rows with equal panel counts, sorted by band
   width, form blocks whose (rows, edges, nodes) arrays hold at most
   _BLOCK_ELEMENTS elements, or one row if a row alone is larger; _integrate
-  evaluates them.  Every cell depends on its own row alone, so the result
-  is bitwise the same in any batch and for any block size, and
-  bin_prob_2d, which computes one row on the same path, returns bitwise
-  the binned_joint entry.  The joints of one grid size are unfolded from
-  their wedges as one (joints, n, n) stack; _binned_joints returns these
+  contracts each block in one einsum.  Every cell depends on its own row
+  alone, so the result is bitwise the same in any batch and for any block
+  size, and bin_prob_2d, which computes one row on the same path, returns
+  bitwise the binned_joint entry.  The joints are kept in request order,
+  and each run of consecutive joints with the same grid size is unfolded
+  from its wedges as one (joints, n, n) stack; _binned_joints returns these
   stacks, and the entropies read each in place, with no copy.
 * rectangle CDF: the grid edges, scaled to unit variance, form a lattice of
   orthants P(X > x_i, Y > y_j) of the standard bivariate normal with
@@ -115,7 +116,12 @@ _MIN_CUT = 9.0
 # larger than this forms a block of its own.  Results do not depend on it.
 # At 1 << 15 each of a block's few temporaries takes 256 KiB; on the
 # benchmark's scan, minimize and eval-fine requests this ran faster than
-# 1 << 16 or 1 << 17, with a lower peak memory.
+# 1 << 16 or 1 << 17, with a lower peak memory.  _integrate sums each block
+# in one einsum, which gives a row the same sums in any block up to 8192
+# nodes and may split longer ones by the block's shape.  The rows of a block
+# share one node count and have at least 2 band edges each, so two rows of
+# more than 8192 nodes take over 2 * 2 * 8193 > 1 << 15 elements: such a
+# row is always alone in its block, and summed the same in every pass.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -326,21 +332,21 @@ class _PanelPlan:
 def _panel_plan(jobs) -> _PanelPlan:
     """Lay out one kernel pass: each row's clip, band and panels, and the blocks.
 
-    `jobs` holds one (state, coeffs, grid, windows) per joint, every grid of
-    one bin width and tail_epsilon, each window l <= 0; _integrate then
-    evaluates the plan.  The clip, the band and the choice between uniform
-    and edge-adapted panels are those of the module docstring.  Rows of
-    equal panel count, sorted by band width, form blocks of at most
-    _BLOCK_ELEMENTS (rows, edges, nodes) elements at the band width of
-    their last and widest row, or one row.
+    `jobs` holds one (coeffs, grid, windows) per joint, every grid of one
+    bin width and tail_epsilon, each window l <= 0; cosh 2r is read as
+    cosh(2 coeffs.r), and _integrate then evaluates the plan.  The clip,
+    the band and the choice between uniform and edge-adapted panels are
+    those of the module docstring.  Rows of equal panel count, sorted by
+    band width, form blocks of at most _BLOCK_ELEMENTS (rows, edges, nodes)
+    elements at the band width of their last and widest row, or one row.
     """
-    grid = jobs[0][2]
+    grid = jobs[0][1]
     delta, cut = grid.delta, max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
     x1 = _GL16[0] + 1.0
     # per joint: panel count, correlation, sigma_c, cosh 2r, l_max and rows
-    n_panels, rho, sc = _panel_counts(delta, [c for _, c, _, _ in jobs])
-    c2r = np.array([state.cosh_2r for state, *_ in jobs])
-    lmax, n_rows = np.array([(grid.l_max, len(windows)) for *_, grid, windows in jobs]).T
+    n_panels, rho, sc = _panel_counts(delta, [c for c, _, _ in jobs])
+    c2r = np.array([math.cosh(2.0 * c.r) for c, _, _ in jobs])
+    lmax, n_rows = np.array([(grid.l_max, len(windows)) for _, grid, windows in jobs]).T
     # the edge tables of the joints, end to end: grid.edges() / sigma_c
     n_edges = 2 * lmax + 2
     edge_off = n_edges.cumsum() - n_edges
@@ -434,15 +440,15 @@ def _panel_plan(jobs) -> _PanelPlan:
 
 
 def _integrate(plan: _PanelPlan) -> np.ndarray:
-    """The cells of a plan, block by block: the wedge rows of every joint end to end.
+    """The cells of a plan, one einsum per block: the wedge rows of every joint end to end.
 
     Each row is n_bins long, in the order of the `jobs` given to
     _panel_plan and of their windows.  Row l holds the panel-quadrature
     cell probabilities of the columns m in [l, -l] and zeros elsewhere.
+    A row's sums do not depend on its block (_BLOCK_ELEMENTS).
     """
     x1, wts = _GL16[0] + 1.0, _GL16[1]
     out = np.zeros(plan.size + 1)
-    chunk = np.getbufsize()
     blocks, counts, p = plan.blocks.tolist(), plan.counts.tolist(), 0
     for first, stop, n_edges in zip(blocks, blocks[1:], plan.block_edges.tolist()):
         rows, n_rows, count = slice(first, stop), stop - first, counts[first]
@@ -458,15 +464,9 @@ def _integrate(plan: _PanelPlan) -> np.ndarray:
         at = plan.band_start[rows, None] + np.arange(n_edges)
         band = plan.edges[np.minimum(at, plan.band_end[rows, None])]
         slabs = _normal_slabs(band[:, :, None] - mu[:, None, :])
-        # einsum sums up to np.getbufsize() nodes in one pass, but splits
-        # longer sums in a way that depends on the block's shape; fixed
-        # chunks of that length keep every cell independent of its block.
-        cells = np.einsum("ren,rn->re", slabs[..., :chunk], f[:, :chunk])
-        for n0 in range(chunk, n, chunk):
-            cells += np.einsum("ren,rn->re", slabs[..., n0:n0 + chunk], f[:, n0:n0 + chunk])
         at = at[:, :-1]
         out[np.where(at < plan.band_end[rows, None], at - plan.band_start[rows, None]
-                     + plan.cell_at[rows, None], -1)] = cells
+                     + plan.cell_at[rows, None], -1)] = np.einsum("ren,rn->re", slabs, f)
         p = p_end
     return out[:-1]
 
@@ -480,30 +480,24 @@ def _grids(points, delta: float, tail_epsilon: float) -> dict[float, CoarseGrid]
     return grids
 
 
-def _binned_joints(points, grids: dict[float, CoarseGrid]
-                   ) -> list[tuple[CoarseGrid, list[int], np.ndarray]]:
+def _binned_joints(points, grids: dict[float, CoarseGrid]) -> list[np.ndarray]:
     """Panel-quadrature joints of many (state, phi_sum) points at one bin width, as stacks.
 
     `grids` maps the r of every point to its grid, all of one bin width and
     tail_epsilon; the caller makes them (_grids), and this makes none.  All
-    the wedge rows run through one kernel pass, the joints of one grid size
-    next to each other, and the matrices of each size are unfolded as one
-    (joints, n, n) stack.  The result holds one (grid, ks, stack) per grid
-    size, stack[i] the joint of points[ks[i]].  Each joint is bitwise the
-    binned_joint of its point: the batch only schedules work.
+    the wedge rows run through one kernel pass, in the order of the points,
+    and each run of consecutive points with the same grid size is unfolded
+    as one (joints, n, n) stack.  Concatenated, the stacks hold the joints in
+    point order.  Each joint is bitwise the binned_joint of its point: the
+    batch only schedules work.
     """
     points = list(points)
-    lmax = [grids[state.r].l_max for state, _ in points]
-    order = sorted(range(len(points)), key=lmax.__getitem__)
-    jobs = []
-    for k in order:
-        state, phi_sum = points[k]
-        jobs.append((state, coefficients(state, PhaseSettings(0.0, phi_sum)), grids[state.r],
-                     range(-lmax[k], 1)))
+    jobs = [(coefficients(state, PhaseSettings(0.0, phi_sum)), grids[state.r],
+             range(-grids[state.r].l_max, 1)) for state, phi_sum in points]
     rows, stacks, start = _integrate(_panel_plan(jobs)), [], 0
-    for l, group in groupby(order, key=lmax.__getitem__):
-        group, n = list(group), 2 * l + 1
-        wedges = rows[start:start + len(group) * (l + 1) * n].reshape(len(group), l + 1, n)
+    for l, group in groupby(grid.l_max for _, grid, _ in jobs):
+        count, n = len(list(group)), 2 * l + 1
+        wedges = rows[start:start + count * (l + 1) * n].reshape(count, l + 1, n)
         start += wedges.size
         probs = np.concatenate((wedges, wedges[:, -2::-1, ::-1]), axis=1)  # p[l, m] = p[-l, -m]
         # Entries off the wedge are 0 and none is negative, so the maximum
@@ -513,12 +507,12 @@ def _binned_joints(points, grids: dict[float, CoarseGrid]
         # becomes the larger of itself and its mirror, whichever comes first.
         per = max(1, _BLOCK_ELEMENTS // (n * n))
         step = max(1, _BLOCK_ELEMENTS // (per * n))
-        for j in range(0, len(group), per):
+        for j in range(0, count, per):
             for a in range(0, n, step):
                 part = probs[j:j + per, a:a + step]
                 np.maximum(part, probs[j:j + per, :, a:a + step].transpose(0, 2, 1).copy(),
                            out=part)
-        stacks.append((grids[points[group[0]][0].r], group, probs))
+        stacks.append(probs)
     return stacks
 
 
@@ -533,7 +527,7 @@ def binned_joint(state: TmsvParams, phi_sum: float, delta: float,
     """Full matrix of 2D window probabilities for the joint homodyne law."""
     grid = make_grid(state, delta, tail_epsilon)
     if method == PANEL_QUADRATURE:
-        ((_, _, (probs,)),) = _binned_joints([(state, phi_sum)], {state.r: grid})
+        ((probs,),) = _binned_joints([(state, phi_sum)], {state.r: grid})
     elif method == RECTANGLE_CDF:
         coeffs = coefficients(state, PhaseSettings(0.0, phi_sum))
         z = grid.edges() / coeffs.sigma_marginal
@@ -550,7 +544,7 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
         raise ValueError(f"cell ({l}, {m}) outside grid of half-extent {grid.l_max}")
     if method == PANEL_QUADRATURE:
         a, b = _wedge(l, m)
-        row = _integrate(_panel_plan([(TmsvParams(coeffs.r), coeffs, grid, [a])]))
+        row = _integrate(_panel_plan([(coeffs, grid, [a])]))
         return float(row[b + grid.l_max])
     if method == RECTANGLE_CDF:
         z = grid.edges() / coeffs.sigma_marginal

@@ -180,11 +180,13 @@ def _joint_terms(points, grids: dict[float, CoarseGrid],
     the first phi_sum given for it.  The joints are built in batches, each
     closed by the joint that brings it to _BATCH_CELLS cells, a joint
     counting as at least _JOINT_CELLS; each batch runs in one kernel pass,
-    whose stacks _entropy_terms reads as they come, and which are dropped
-    once their entropies are taken.  `grids` maps the r of every point to
-    its grid, all of one bin width (coarse_grain._grids); each point's size
-    and Delta are read from it.  If `joints` is a list, it also receives one
-    BinnedDistribution2D per point, carrying that point's phi_sum.
+    whose stacks hold its joints in order.  _entropy_terms reads them in
+    sequence, and they are dropped once their entropies are taken; a
+    failing joint is named by its offset into the distinct points.  `grids`
+    maps the r of every point to its grid, all of one bin width
+    (coarse_grain._grids); each point's size and Delta are read from it.
+    If `joints` is a list, it also receives one BinnedDistribution2D per
+    point, carrying that point's phi_sum.
     """
     points = list(points)
     keys = [(state.r, abs(phi_sum) if state.r else 0.0) for state, phi_sum in points]
@@ -193,25 +195,25 @@ def _joint_terms(points, grids: dict[float, CoarseGrid],
         if key not in index:
             index[key] = len(distinct)
             distinct.append(point)
-    terms, built, start, cells = [], {}, 0, 0
+    terms, built, start, cells = [], [], 0, 0
     for stop, (state, _) in enumerate(distinct, 1):
-        cells += max(grids[state.r].n_bins ** 2, _JOINT_CELLS)
+        grid = grids[state.r]  # every grid has the one bin width
+        cells += max(grid.n_bins ** 2, _JOINT_CELLS)
         if cells >= _BATCH_CELLS or stop == len(distinct):
-            stacks = _binned_joints(distinct[start:stop], grids)
-            terms += [None] * (stop - start)
-            for grid, ks, stack in stacks:
-                for k, t in zip(ks, _entropy_terms(stack, lambda i: (
-                        distinct[start + ks[i]][0].r, distinct[start + ks[i]][1], grid.delta))):
-                    terms[start + k] = t
+            for stack in _binned_joints(distinct[start:stop], grids):
+                offset = len(terms)  # of the stack's first joint in `distinct`
+                terms += _entropy_terms(stack, lambda k: (
+                    distinct[offset + k][0].r, distinct[offset + k][1], grid.delta))
                 if joints is not None:
-                    built.update((start + k, (p, grid)) for k, p in zip(ks, stack))
-            del stacks, ks, stack  # freed before the next batch is built
+                    built.extend(stack)
+            del stack  # freed before the next batch is built
             start, cells = stop, 0
     at = [index[key] for key in keys]
     if joints is not None:
         # a point at -phi_sum, or any point at r = 0, gets the joint built
         # for its key, sharing its probs
-        joints += [BinnedDistribution2D(*built[i], state.r, phi_sum, PANEL_QUADRATURE)
+        joints += [BinnedDistribution2D(built[i], grids[state.r], state.r, phi_sum,
+                                        PANEL_QUADRATURE)
                    for i, (state, phi_sum) in zip(at, points)]
     return [terms[i] for i in at]
 

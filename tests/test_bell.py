@@ -178,7 +178,7 @@ def test_evaluate_builds_each_distinct_joint_once(monkeypatch, delta, phase_sums
     panel_plan = coarse_grain._panel_plan
 
     def counted(jobs):
-        calls.append([coeffs.phi_sum for _, coeffs, _, _ in jobs])
+        calls.append([coeffs.phi_sum for coeffs, _, _ in jobs])
         return panel_plan(jobs)
 
     monkeypatch.setattr(coarse_grain, "_panel_plan", counted)
@@ -543,9 +543,9 @@ def test_invalid_joint_in_a_batch_is_named(monkeypatch):
 
     def one_mass_off(batch, grids):
         stacks = batched(batch, grids)
-        ((_, ks, stack),) = stacks  # one r, so one grid size
+        (stack,) = stacks  # one r, so one grid size
         off.append(batch[2])
-        stack[ks.index(2)] *= 0.99
+        stack[2] *= 0.99
         return stacks
 
     monkeypatch.setattr(entropy, "_binned_joints", one_mass_off)

@@ -274,21 +274,18 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
         assert {joint.grid.n_bins for joint in alone} == {1}
 
     def assert_batch_is_alone(order):
-        # one (grid, ks, stack) per grid size, stack[i] the joint of point ks[i]
+        # the stacks, concatenated, hold the joints in batch order
         batch = [points[k] for k in order]
-        stacks = coarse_grain._binned_joints(batch, coarse_grain._grids(batch, delta, 1e-12))
-        assert sorted(i for _, ks, _ in stacks for i in ks) == list(range(len(order)))
-        for grid, ks, stack in stacks:
-            assert len(stack) == len(ks)
-            for i, probs in zip(ks, stack):
-                k = order[i]
-                state, phi_sum = points[k]
-                joint = BinnedDistribution2D(probs=probs, grid=grid, r=state.r, phi_sum=phi_sum,
-                                             method=PANEL_QUADRATURE)
-                assert np.array_equal(joint.probs, alone[k].probs)
-                assert joint.captured_mass == alone[k].captured_mass
-                assert (joint.r, joint.phi_sum, joint.grid) == (alone[k].r, alone[k].phi_sum,
-                                                                alone[k].grid)
+        grids = coarse_grain._grids(batch, delta, 1e-12)
+        stacks = coarse_grain._binned_joints(batch, grids)
+        for k, probs in zip(order, (probs for stack in stacks for probs in stack), strict=True):
+            state, phi_sum = points[k]
+            joint = BinnedDistribution2D(probs=probs, grid=grids[state.r], r=state.r,
+                                         phi_sum=phi_sum, method=PANEL_QUADRATURE)
+            assert np.array_equal(joint.probs, alone[k].probs)
+            assert joint.captured_mass == alone[k].captured_mass
+            assert (joint.r, joint.phi_sum, joint.grid) == (alone[k].r, alone[k].phi_sum,
+                                                            alone[k].grid)
 
     order = list(range(len(points)))
     assert_batch_is_alone(order)
@@ -298,10 +295,11 @@ def test_batched_joints_are_bitwise_binned_joint(monkeypatch, delta, points):
     assert_batch_is_alone(order[::-1])
 
 
-def test_chunked_node_sums_keep_each_cell_independent_of_its_block(monkeypatch):
-    # a row of more than np.getbufsize() nodes is summed in chunks of that
-    # length; under a 64-element buffer most rows here take several chunks,
-    # and each cell still depends on its own row alone
+def test_cells_do_not_depend_on_the_numpy_buffer_size(monkeypatch):
+    # np.setbufsize is process-wide; under a 64-element buffer the longest
+    # rows here are several buffers long, and each cell still equals its
+    # default-buffer value bit for bit, in any batch and block size and
+    # through bin_prob_2d
     plans, plan = [], coarse_grain._panel_plan
     monkeypatch.setattr(coarse_grain, "_panel_plan", lambda jobs: plans.append(plan(jobs))
                         or plans[-1])
@@ -313,17 +311,17 @@ def test_chunked_node_sums_keep_each_cell_independent_of_its_block(monkeypatch):
         for delta in (6.0, 60.0):
             plans.clear()
             alone = [binned_joint(state, phi_sum, delta) for state, phi_sum in points]
-            # the chunks sum every node once: the cells move by roundoff alone
             for joint, ref in zip(alone, whole[delta]):
-                np.testing.assert_allclose(joint.probs, ref.probs, rtol=1e-12, atol=0.0)
+                assert np.array_equal(joint.probs, ref.probs)
             nodes = coarse_grain._PANEL_ORDER * max(p.counts.max() for p in plans)
             assert nodes > 2 * np.getbufsize()
             for block_elements in (1, 1 << 10, 1 << 15):
                 monkeypatch.setattr(coarse_grain, "_BLOCK_ELEMENTS", block_elements)
                 grids = coarse_grain._grids(points, delta, 1e-12)
-                for _, ks, stack in coarse_grain._binned_joints(points, grids):
-                    for k, probs in zip(ks, stack):
-                        assert np.array_equal(probs, alone[k].probs)
+                stacks = coarse_grain._binned_joints(points, grids)
+                for probs, joint in zip((p for stack in stacks for p in stack), alone,
+                                        strict=True):
+                    assert np.array_equal(probs, joint.probs)
             for (state, phi_sum), joint in zip(points, alone):
                 c, l_max = coefficients(state, PhaseSettings(0.0, phi_sum)), joint.grid.l_max
                 for l in range(-l_max, l_max + 1):
@@ -333,6 +331,24 @@ def test_chunked_node_sums_keep_each_cell_independent_of_its_block(monkeypatch):
     finally:
         np.setbufsize(old)
     assert np.getbufsize() == old
+
+
+def test_rows_einsum_would_split_are_alone_in_their_block(monkeypatch):
+    # einsum gives a row of up to 8192 nodes the same sums in any block, and
+    # may split longer ones by the block's shape.  Every row of a block has
+    # one node count and at least 2 band edges, so two longer rows never fit
+    # in one block: _integrate contracts each block in one einsum.
+    assert 2 * 2 * (8192 + 1) > coarse_grain._BLOCK_ELEMENTS
+    plans, plan = [], coarse_grain._panel_plan
+    monkeypatch.setattr(coarse_grain, "_panel_plan", lambda jobs: plans.append(plan(jobs))
+                        or plans[-1])
+    for delta, points in _MIXED_BATCHES:
+        points = [(TmsvParams(r), phi_sum) for r, phi_sum in points]
+        coarse_grain._binned_joints(points, coarse_grain._grids(points, delta, 1e-12))
+    for p in plans:
+        first, stop = p.blocks[:-1], p.blocks[1:]
+        assert (coarse_grain._PANEL_ORDER * p.counts[first[stop - first > 1]] <= 8192).all()
+    assert any((p.blocks[1:] - p.blocks[:-1] > 1).any() for p in plans)
 
 
 @pytest.mark.parametrize("delta, points", _MIXED_BATCHES)

@@ -274,7 +274,7 @@ def test_s_qm_builds_its_joint_at_the_phase_sum_given(monkeypatch):
     plan = coarse_grain._panel_plan
 
     def recorded(jobs):
-        seen.extend(coeffs.phi_sum for _, coeffs, _, _ in jobs)
+        seen.extend(coeffs.phi_sum for coeffs, _, _ in jobs)
         return plan(jobs)
 
     monkeypatch.setattr(coarse_grain, "_panel_plan", recorded)
