@@ -42,11 +42,12 @@ Two independent routes compute the probability of a 2D cell:
   made where the request enters, once per distinct r (_grids for a point
   list), and handed down: the kernel makes none.  _panel_plan first lays
   the pass out, before any slab is evaluated: every row's clip, band and
-  panels, the blocks, and the exact number of slab elements (ndtr
-  evaluations) and bytes.  Rows with equal panel counts, sorted by band
-  width, form blocks whose (rows, edges, nodes) arrays hold at most
-  _BLOCK_ELEMENTS elements, or one row if a row alone is larger; _integrate
-  contracts each block in one einsum.  Every cell depends on its own row
+  panels, a table of each row's own band edges, the blocks, and the exact
+  number of slab elements (ndtr evaluations) and bytes.  Rows with equal
+  panel counts form blocks whose band edges x nodes add up to at most
+  _BLOCK_ELEMENTS, or one row if a row alone is larger; _integrate
+  evaluates only those edges, with no padding, and contracts each block in
+  one einsum.  Every cell depends on its own row
   alone, so the result is bitwise the same in any batch and for any block
   size, and bin_prob_2d, which computes one row on the same path, returns
   bitwise the binned_joint entry.  The joints are kept in request order,
@@ -112,8 +113,8 @@ _MAX_PANELS = 100_000
 # Smallest cut-off K of the panel kernel, in standard deviations: each row
 # drops at most 2 Phi(-8.989) ~ 2.49e-19 of its mass (module docstring).
 _MIN_CUT = 9.0
-# Elements of one (rows, edges, nodes) block of the panel kernel; a row
-# larger than this forms a block of its own.  Results do not depend on it.
+# Band edges x nodes of one block of the panel kernel, summed over its rows;
+# a row larger than this forms a block of its own.  Results do not depend on it.
 # At 1 << 15 each of a block's few temporaries takes 256 KiB; on the
 # benchmark's scan, minimize and eval-fine requests this ran faster than
 # 1 << 16 or 1 << 17, with a lower peak memory.  _integrate sums each block
@@ -235,7 +236,7 @@ def make_grid(state: TmsvParams, delta: float,
 
 
 def _normal_slabs(z: np.ndarray) -> np.ndarray:
-    """Phi(z[:, k + 1]) - Phi(z[:, k]) for z increasing along axis 1.
+    """Phi(z[k + 1]) - Phi(z[k]) for z increasing along axis 0.
 
     With h = sign(z) Phi(-|z|), Phi(z) = [z >= 0] - h: a slab is the
     difference of two tails, plus 1 where z changes sign.
@@ -244,9 +245,9 @@ def _normal_slabs(z: np.ndarray) -> np.ndarray:
     np.negative(h, out=h)
     special.ndtr(h, out=h)
     np.copysign(h, z, out=h)
-    slabs = h[:, :-1] - h[:, 1:]
+    slabs = h[:-1] - h[1:]
     step_up = z >= 0.0
-    slabs += step_up[:, 1:] > step_up[:, :-1]
+    slabs += step_up[1:] > step_up[:-1]
     np.maximum(slabs, 0.0, out=slabs)
     return slabs
 
@@ -259,7 +260,7 @@ def bin_prob_1d(state: TmsvParams, grid: CoarseGrid, m) -> np.ndarray | float:
     sigma = state.marginal_sigma
     lo = (m_arr * grid.delta - 0.5 * grid.delta) / sigma
     hi = (m_arr * grid.delta + 0.5 * grid.delta) / sigma
-    out = _normal_slabs(np.stack([lo.ravel(), hi.ravel()], axis=1)).reshape(m_arr.shape)
+    out = _normal_slabs(np.stack([lo, hi])).reshape(m_arr.shape)
     return float(out) if np.isscalar(m) else out
 
 
@@ -304,14 +305,14 @@ class _PanelPlan:
     """One pass of the panel kernel, laid out before any slab is evaluated (_panel_plan).
 
     Its rows are the wedge rows with at least one band cell, in block
-    order: by panel count, then band width.  A block is consecutive rows of
-    one panel count, so its panels are consecutive too.
+    order: by panel count, then as given.  A block is consecutive rows of
+    one panel count, so its panels and its (row, band edge) pairs are
+    consecutive too.
     """
 
-    edges: np.ndarray        # every joint's grid edges / sigma_c, end to end
-    band_start: np.ndarray   # per row: its band's first and last edge in `edges`,
-    band_end: np.ndarray
-    cell_at: np.ndarray      # and the output index of its band's first cell
+    edges: np.ndarray        # per pair: the band edge / sigma_c,
+    row: np.ndarray          # its row within its block,
+    cell: np.ndarray         # and the output index of its slab to the row's next edge
     counts: np.ndarray       # per row: its panels, and its joint's correlation,
     rho: np.ndarray          # sigma_c and cosh 2r
     sigma_c: np.ndarray
@@ -319,9 +320,9 @@ class _PanelPlan:
     panel_start: np.ndarray  # per panel: left end and half width
     panel_half: np.ndarray
     blocks: np.ndarray       # first row of each block, then the number of rows
-    block_edges: np.ndarray  # per block: band edges of each of its rows, its widest band's
+    block_pairs: np.ndarray  # first pair of each block, then the number of pairs
     size: int                # cells of every joint's rows, end to end
-    slab_elements: int       # ndtr evaluations: rows x band edges x nodes, summed over blocks
+    slab_elements: int       # ndtr evaluations: own band edges x nodes, summed over rows
 
     @property
     def nbytes(self) -> int:
@@ -336,9 +337,9 @@ def _panel_plan(jobs) -> _PanelPlan:
     bin width and tail_epsilon, each window l <= 0; cosh 2r is read as
     cosh(2 coeffs.r), and _integrate then evaluates the plan.  The clip,
     the band and the choice between uniform and edge-adapted panels are
-    those of the module docstring.  Rows of equal panel count, sorted by
-    band width, form blocks of at most _BLOCK_ELEMENTS (rows, edges, nodes)
-    elements at the band width of their last and widest row, or one row.
+    those of the module docstring.  Rows of equal panel count form blocks
+    of at most _BLOCK_ELEMENTS band edges x nodes, or one row, and each row
+    lists its own band edges alone.
     """
     grid = jobs[0][1]
     delta, cut = grid.delta, max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
@@ -405,37 +406,38 @@ def _panel_plan(jobs) -> _PanelPlan:
         rows = cand[take]
         seg_lo[rows], seg_pw[rows] = bounds[:-1, take].T, (length / np.maximum(n, 1.0))[:, take].T
         seg_n[rows], counts[rows] = n[:, take].T, total[take]
-    # Each row is n_bins long in the output, and written from its band start.
-    n_bins = 2 * lmax + 1
-    cell_at = n_bins.cumsum() - n_bins + s
     # Block order; the panels of the rows in it, end to end.
-    span = last - s
-    order = (span > 0).nonzero()[0]
-    order = order[np.lexsort((span[order], counts[order]))]
+    order = (last > s).nonzero()[0]
+    order = order[np.argsort(counts[order], kind="stable")]
     seg_lo, seg_pw, seg_n = (v[order].ravel() for v in (seg_lo, seg_pw, seg_n))
     seg = np.arange(seg_n.size).repeat(seg_n)
     seg_first = seg_n.cumsum() - seg_n
     seg_pw = seg_pw[seg]
-    counts, span = counts[order].astype(int), span[order]
-    # A block takes the next rows of one panel count that fit in
-    # _BLOCK_ELEMENTS at the band width of its last and widest row, or one row.
-    n_of, span_of, blocks = counts.tolist(), span.tolist(), [0]
+    counts, n_edges = counts[order].astype(int), (last - s + 1)[order]
+    # A block takes the next rows of one panel count whose band edges x nodes
+    # add up to at most _BLOCK_ELEMENTS, or one row; ends[k] is the sum before row k.
+    ends = [0, *(_PANEL_ORDER * counts * n_edges).cumsum().tolist()]
+    n_of, blocks = counts.tolist(), [0]
     while blocks[-1] < len(n_of):
         first = blocks[-1]
-        per_row = _PANEL_ORDER * n_of[first]
         same = range(first + 1, bisect.bisect_right(n_of, n_of[first], first))
         blocks.append(first + 1 + bisect.bisect_right(
-            same, _BLOCK_ELEMENTS, key=lambda k: (k - first + 1) * (span_of[k] + 1) * per_row))
+            same, ends[first] + _BLOCK_ELEMENTS, key=lambda k: ends[k + 1]))
     blocks = np.array(blocks)
-    block_edges = span[blocks[1:] - 1] + 1
+    # The (row, band edge) pairs, row by row.  Each row is n_bins long in the
+    # output; the slab from a row's last edge writes to the spare element.
+    n_bins = 2 * lmax + 1
+    pair_ends = np.concatenate(([0], n_edges.cumsum()))
+    k = np.arange(pair_ends[-1]) - pair_ends[:-1].repeat(n_edges)
+    cell = (n_bins.cumsum() - n_bins + s)[order].repeat(n_edges) + k
+    cell[pair_ends[1:] - 1] = n_bins.sum()
     return _PanelPlan(
-        edges=edges, band_start=(at + s)[order], band_end=(at + last)[order],
-        cell_at=cell_at[order], counts=counts, rho=rho[order], sigma_c=sc[order],
-        cosh_2r=c2r[order],
+        edges=edges[(at + s)[order].repeat(n_edges) + k],
+        row=(np.arange(order.size) - blocks[:-1].repeat(np.diff(blocks))).repeat(n_edges),
+        cell=cell, counts=counts, rho=rho[order], sigma_c=sc[order], cosh_2r=c2r[order],
         panel_start=seg_lo[seg] + seg_pw * (np.arange(seg.size) - seg_first[seg]),
-        panel_half=0.5 * seg_pw, blocks=blocks, block_edges=block_edges, size=int(n_bins.sum()),
-        slab_elements=_PANEL_ORDER * int(((blocks[1:] - blocks[:-1]) * block_edges
-                                          * counts[blocks[:-1]]).sum()),
+        panel_half=0.5 * seg_pw, blocks=blocks, block_pairs=pair_ends[blocks],
+        size=int(n_bins.sum()), slab_elements=ends[-1],
     )
 
 
@@ -447,10 +449,10 @@ def _integrate(plan: _PanelPlan) -> np.ndarray:
     cell probabilities of the columns m in [l, -l] and zeros elsewhere.
     A row's sums do not depend on its block (_BLOCK_ELEMENTS).
     """
-    x1, wts = _GL16[0] + 1.0, _GL16[1]
+    x1, wts, p = _GL16[0] + 1.0, _GL16[1], 0
     out = np.zeros(plan.size + 1)
-    blocks, counts, p = plan.blocks.tolist(), plan.counts.tolist(), 0
-    for first, stop, n_edges in zip(blocks, blocks[1:], plan.block_edges.tolist()):
+    blocks, pairs, counts = plan.blocks.tolist(), plan.block_pairs.tolist(), plan.counts.tolist()
+    for first, stop, q0, q1 in zip(blocks, blocks[1:], pairs, pairs[1:]):
         rows, n_rows, count = slice(first, stop), stop - first, counts[first]
         p_end, n = p + n_rows * count, _PANEL_ORDER * count
         hw = plan.panel_half[p:p_end, None]
@@ -458,15 +460,12 @@ def _integrate(plan: _PanelPlan) -> np.ndarray:
         f = (_marginal_density(nodes, plan.cosh_2r[rows, None, None])
              * (hw * wts).reshape(nodes.shape)).reshape(n_rows, n)
         mu = plan.rho[rows, None, None] * nodes / plan.sigma_c[rows, None, None]
-        mu = mu.reshape(n_rows, n)
-        # Past its band a row repeats its last edge, so its slabs there are 0,
-        # and their cells go to the one spare element at the end.
-        at = plan.band_start[rows, None] + np.arange(n_edges)
-        band = plan.edges[np.minimum(at, plan.band_end[rows, None])]
-        slabs = _normal_slabs(band[:, :, None] - mu[:, None, :])
-        at = at[:, :-1]
-        out[np.where(at < plan.band_end[rows, None], at - plan.band_start[rows, None]
-                     + plan.cell_at[rows, None], -1)] = np.einsum("ren,rn->re", slabs, f)
+        # z = edge - mu of each pair's row; the slab from a row's last edge to
+        # the next row's first goes to the spare element at the end.
+        row = plan.row[q0:q1]
+        z = mu.reshape(n_rows, n)[row]
+        np.subtract(plan.edges[q0:q1, None], z, out=z)
+        out[plan.cell[q0:q1 - 1]] = np.einsum("pn,pn->p", _normal_slabs(z), f[row[:-1]])
         p = p_end
     return out[:-1]
 

@@ -27,6 +27,7 @@ from entrobell import (
     bvn_upper,
     coefficients,
     make_grid,
+    scan,
 )
 
 _r = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -335,8 +336,9 @@ def test_cells_do_not_depend_on_the_numpy_buffer_size(monkeypatch):
 
 def test_rows_einsum_would_split_are_alone_in_their_block(monkeypatch):
     # einsum gives a row of up to 8192 nodes the same sums in any block, and
-    # may split longer ones by the block's shape.  Every row of a block has
-    # one node count and at least 2 band edges, so two longer rows never fit
+    # may split longer ones by the block's shape.  A block holds at most
+    # _BLOCK_ELEMENTS band edges x nodes, or one row; its rows share one node
+    # count and have at least 2 band edges each, so two longer rows never fit
     # in one block: _integrate contracts each block in one einsum.
     assert 2 * 2 * (8192 + 1) > coarse_grain._BLOCK_ELEMENTS
     plans, plan = [], coarse_grain._panel_plan
@@ -347,7 +349,12 @@ def test_rows_einsum_would_split_are_alone_in_their_block(monkeypatch):
         coarse_grain._binned_joints(points, coarse_grain._grids(points, delta, 1e-12))
     for p in plans:
         first, stop = p.blocks[:-1], p.blocks[1:]
-        assert (coarse_grain._PANEL_ORDER * p.counts[first[stop - first > 1]] <= 8192).all()
+        pairs = np.diff(p.block_pairs)
+        assert (pairs >= 2 * (stop - first)).all()
+        elements = coarse_grain._PANEL_ORDER * p.counts[first] * pairs
+        shared = stop - first > 1
+        assert (elements[shared] <= coarse_grain._BLOCK_ELEMENTS).all()
+        assert (coarse_grain._PANEL_ORDER * p.counts[first[shared]] <= 8192).all()
     assert any((p.blocks[1:] - p.blocks[:-1] > 1).any() for p in plans)
 
 
@@ -372,8 +379,63 @@ def test_panel_plan_counts_its_slab_elements(monkeypatch, delta, points):
         assert sum(elements) == only.slab_elements > 0
         assert len(elements) == len(only.blocks) - 1
         assert only.nbytes == sum(getattr(only, name).nbytes for name in (
-            "edges", "band_start", "band_end", "cell_at", "counts", "rho", "sigma_c",
-            "cosh_2r", "panel_start", "panel_half", "blocks", "block_edges"))
+            "edges", "row", "cell", "counts", "rho", "sigma_c", "cosh_2r", "panel_start",
+            "panel_half", "blocks", "block_pairs"))
+
+
+def _own_band_edges(c, grid, l):
+    """Band edges of wedge row l, from the module docstring alone.
+
+    The band runs from the last grid edge at or below K sigma_c under the
+    conditional means rho a of the window's uniform nodes to the first at or
+    above K sigma_c over them, within the row's wedge edges.
+    """
+    delta, cut = grid.delta, max(9.0, coarse_grain._coverage_multiple(grid.tail_epsilon))
+    rho, sc, sa = c.correlation, c.sigma_conditional, math.sqrt(0.5 * math.cosh(2.0 * c.r))
+    lo = max((l - 0.5) * delta, -cut * sa)
+    width = max(min((l + 0.5) * delta, cut * sa) - lo, 0.0)
+    slab = 8.0 * sc / abs(rho) if rho else math.inf
+    n_panels = math.ceil(4.0 * delta / min(math.sqrt(0.5 / (c.v_minus_w * c.v_plus_w / c.v)),
+                                           slab))
+    count = max(min(n_panels, math.ceil(width * n_panels / delta)), 1)
+    x = np.polynomial.legendre.leggauss(16)[0]
+    ends = rho * (lo + width / count * np.array([0.5 * (x[0] + 1.0), count - 0.5 * (1.0 - x[-1])]))
+    e = grid.edges() / sc
+    first = np.searchsorted(e, ends.min() / sc - cut, side="right") - 1
+    last = np.searchsorted(e, ends.max() / sc + cut)
+    j0, j1 = l + grid.l_max, grid.l_max - l + 1
+    first, last = max(min(first, j1), j0), min(max(last, j0), j1)
+    return last - first + 1 if last > first else 0
+
+
+def _mixed_batch(delta, points):
+    points = [(TmsvParams(r), phi_sum) for r, phi_sum in points]
+    return lambda: coarse_grain._binned_joints(points, coarse_grain._grids(points, delta, 1e-12))
+
+
+@pytest.mark.parametrize("run", [
+    *(_mixed_batch(delta, points) for delta, points in _MIXED_BATCHES),
+    lambda: scan(np.linspace(0.15, 1.75, 5), np.linspace(0.1, 1.3, 4), 1.5),
+], ids=[*(f"Delta={delta:g}" for delta, _ in _MIXED_BATCHES), "scan"])
+def test_kernel_evaluates_only_each_rows_own_band_edges(monkeypatch, run):
+    # no z handed to _normal_slabs repeats an edge, and each pass's ndtr
+    # count is the sum over its wedge rows of 16 x panels x own band edges
+    passes, zs = [], []
+    plan, slabs = coarse_grain._panel_plan, coarse_grain._normal_slabs
+    monkeypatch.setattr(coarse_grain, "_panel_plan",
+                        lambda jobs: passes.append((jobs, plan(jobs))) or passes[-1][1])
+    monkeypatch.setattr(coarse_grain, "_normal_slabs", lambda z: zs.append(z.copy()) or slabs(z))
+    run()
+    assert passes and zs
+    for z in zs:  # consecutive edges along the edge axis differ at some node
+        assert not (np.diff(z, axis=-2) == 0.0).all(axis=-1).any()
+    for jobs, batch in passes:
+        expected = 0
+        for c, grid, windows in jobs:
+            for l in windows:
+                panels = plan([(c, grid, [l])]).counts.sum()
+                expected += coarse_grain._PANEL_ORDER * panels * _own_band_edges(c, grid, l)
+        assert batch.slab_elements == expected
 
 
 def _kernel_panels(monkeypatch, r, phi_sum, delta):
