@@ -45,6 +45,8 @@ _SUM_HI = 1.0 + 1e-10
 # neither.
 _BATCH_CELLS = 1 << 18
 _JOINT_CELLS = 64
+# OpenBLAS takes a dot of at most this many elements on one thread (_dot).
+_DOT_CHUNK = 10_000
 
 
 class InvalidDistribution(Exception):
@@ -120,19 +122,31 @@ def s_qm(state: TmsvParams, phi_sum: float, delta_bin: float,
     return _s_qm_values([(state, phi_sum)], delta_bin, tail_epsilon)[0]
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as the sum of the dots of its chunks of at most _DOT_CHUNK elements.
+
+    OpenBLAS splits a longer dot across its threads, and its bits then move
+    with their number.  Each chunk runs on one thread, and np.add.reduce
+    adds the partial dots in one fixed order, so the result does not depend
+    on the thread count; a dot of one chunk keeps the bits of np.dot.
+    """
+    return float(np.add.reduce([np.dot(x[k:k + _DOT_CHUNK], y[k:k + _DOT_CHUNK])
+                                for k in range(0, x.size, _DOT_CHUNK)]))
+
+
 def _part_entropies(values: np.ndarray, starts) -> list[float]:
     """-sum p ln p over the entries above PROBABILITY_FLOOR of each part of `values`.
 
     The parts are consecutive and begin at `starts`.  The kept entries of
     every part, and their logarithms, are taken at once; each entropy is
-    its own part's dot product, so it is bitwise the shannon of that part.
+    its own part's _dot, so it is bitwise the shannon of that part.
     """
     keep = values > PROBABILITY_FLOOR
     ends = np.add.reduceat(keep, starts, dtype=np.intp).cumsum().tolist()
     q = values[keep]
     del keep  # freed before the logarithms
     log_q = np.log(q)
-    return [float(-np.dot(q[a:b], log_q[a:b])) for a, b in zip([0, *ends], ends)]
+    return [-_dot(q[a:b], log_q[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _entropy_terms(stack: np.ndarray, name) -> list[EntropyTerms]:

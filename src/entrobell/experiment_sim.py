@@ -15,7 +15,7 @@ import numpy as np
 
 from .bell import AngleGeometry, _chained
 from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width
-from .entropy import EntropyTerms
+from .entropy import EntropyTerms, _dot
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
 # Shots are generated in fixed-size blocks with one counter-based stream
@@ -125,7 +125,7 @@ def plugin_entropies(counts: np.ndarray, miller_madow: bool = True
 
     def one(c: np.ndarray) -> float:
         c = c[c > 0].astype(float)
-        s = math.log(n) - float(np.dot(c, np.log(c))) / n
+        s = math.log(n) - _dot(c, np.log(c)) / n
         if miller_madow:
             s += (c.size - 1) / (2.0 * n)
         return s

@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrobell
 from entrobell import entropy
 from entrobell.cli import _apply_config, _build_parser, main
 from entrobell.coarse_grain import BinnedDistribution2D, binned_joint
@@ -669,3 +673,23 @@ def test_cached_parser_gives_the_output_of_a_fresh_one(tmp_path, capsys):
     cached = run(fresh=False) + run(fresh=False)
     assert [code for code, _, _ in cached] == [0, 2, 0, 0] * 2
     assert cached == fresh * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--r", "0.2", "--delta-pi", "0.05", "--Delta", "0.1062", "--mutual-info"],
+    ["sample", "--r", "1.817", "--delta-pi", "0.213", "--Delta", "0.05", "--n", "1000000",
+     "--seed", "7"],
+])
+def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    # the entropies of a 101 x 101 joint and of the seeded sample's tables
+    # have parts of more than 10,000 entries, whose dots OpenBLAS would split
+    # across its threads.  It reads the variable when numpy is imported, so
+    # each thread count runs in a process of its own
+    env = dict(os.environ, PYTHONPATH=str(Path(entrobell.__file__).parents[1]))
+    code = "import sys; from entrobell.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = [subprocess.Popen([sys.executable, "-c", code, *argv, "--format", "json"],
+                             env=dict(env, OPENBLAS_NUM_THREADS=threads), stdout=subprocess.PIPE)
+            for threads in ("1", "2")]
+    (one, code_one), (two, code_two) = ((run.communicate()[0], run.returncode) for run in runs)
+    assert code_one == code_two == 0
+    assert one == two
