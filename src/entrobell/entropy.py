@@ -128,10 +128,11 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     OpenBLAS splits a longer dot across its threads, and its bits then move
     with their number.  Each chunk runs on one thread, and np.add.reduce
     adds the partial dots in one fixed order, so the result does not depend
-    on the thread count; a dot of one chunk keeps the bits of np.dot.
+    on the thread count.  A vector of one chunk takes np.dot alone: its bits,
+    without the cost of the sum, which the many small joints of a pass pay.
     """
-    return float(np.add.reduce([np.dot(x[k:k + _DOT_CHUNK], y[k:k + _DOT_CHUNK])
-                                for k in range(0, x.size, _DOT_CHUNK)]))
+    return float(np.dot(x, y)) if x.size <= _DOT_CHUNK else float(np.add.reduce(
+        [np.dot(x[k:k + _DOT_CHUNK], y[k:k + _DOT_CHUNK]) for k in range(0, x.size, _DOT_CHUNK)]))
 
 
 def _part_entropies(values: np.ndarray, starts) -> list[float]:
