@@ -217,13 +217,17 @@ def make_grid(state: TmsvParams, delta: float,
     The coverage multiple k solves erfc(k/sqrt(2)) < tail_epsilon / 2, i.e.
     each record keeps less than tail_epsilon/2 of two-sided mass outside
     +-k sigma, and l_max is the smallest integer with
-    (l_max + 1/2) delta >= k sigma.  More than CELL_BUDGET cells raise
-    GridTooLarge.
+    (l_max + 1/2) delta >= k sigma.  A tail_epsilon outside (0, 1e-6], or
+    too small for a finite k, raises ValueError; more than CELL_BUDGET cells
+    raise GridTooLarge.
     """
     _check_bin_width(delta)
     if not (0.0 < tail_epsilon <= 1e-6):
         raise ValueError(f"tail_epsilon must be in (0, 1e-6], got {tail_epsilon}")
     k = _coverage_multiple(tail_epsilon)
+    if not math.isfinite(k):  # tail_epsilon / 2 is 0 or the smallest subnormal
+        raise ValueError(f"tail_epsilon {tail_epsilon} is too small: its coverage multiple "
+                         "is not finite")
     sigma_max = state.marginal_sigma
     l_max = max(0, math.ceil(k * sigma_max / delta - 0.5))
     n = 2 * l_max + 1

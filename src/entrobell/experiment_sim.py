@@ -4,6 +4,13 @@ Draws quadrature pairs from the exact joint Gaussian for each of the four
 setting pairs, bins them, and estimates the chained entropy combination
 with a bootstrap error bar.  Detection is ideal: no loss, no dark noise,
 no phase jitter, matching the idealisation of the analytic pipeline.
+
+Each count table spans the box of windows its shots reach, and most of
+that box is empty at fine bins.  The table is laid out once per request
+over its occupied cells (_Cells), and every bootstrap resample draws and
+sums those alone.  The bits are those of a multinomial over the whole box:
+numpy's binomial returns 0 for an empty cell without touching the stream,
+and the entropies see the same positive counts in the same order.
 """
 
 from __future__ import annotations
@@ -100,7 +107,8 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
     every shot.  A box of more than CELL_BUDGET cells raises GridTooLarge.
     """
     _check_bin_width(delta_bin)
-    # window indices per column, in float64: a wide record's pass the int64 range
+    # window indices per column, kept in float64: a wide record's indices can
+    # pass the int64 range, and the box check below must see them first
     a, b = (np.rint(col / delta_bin) for col in batch.pairs.T)
     a_lo, b_lo = a.min(), b.min()
     rows, cols = int(a.max() - a_lo) + 1, int(b.max() - b_lo) + 1
@@ -112,46 +120,98 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
     return np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
 
 
-def plugin_entropies(counts: np.ndarray, miller_madow: bool = True
-                     ) -> tuple[float, float, float]:
-    """(joint, A-marginal, B-marginal) entropy estimates from a count table.
+def _plugin_entropy(counts: np.ndarray, n: int, miller_madow: bool) -> float:
+    """log n - sum c ln c / n over the positive counts c of n shots.
 
     The plug-in estimator is biased low by roughly (occupied cells - 1) /
     (2 n); the Miller-Madow term adds that back.
     """
+    c = counts[counts > 0].astype(float, copy=False)
+    s = math.log(n) - _dot(c, np.log(c)) / n
+    if miller_madow:
+        s += (c.size - 1) / (2.0 * n)
+    return s
+
+
+def plugin_entropies(counts: np.ndarray, miller_madow: bool = True
+                     ) -> tuple[float, float, float]:
+    """(joint, A-marginal, B-marginal) entropy estimates from a count table.
+
+    Plug-in estimates, each with the Miller-Madow term unless miller_madow
+    is False (_plugin_entropy).
+    """
     n = int(counts.sum())
     if n < 1:
         raise ValueError("empty count table")
-
-    def one(c: np.ndarray) -> float:
-        c = c[c > 0].astype(float)
-        s = math.log(n) - _dot(c, np.log(c)) / n
-        if miller_madow:
-            s += (c.size - 1) / (2.0 * n)
-        return s
-
-    return one(counts.ravel()), one(counts.sum(axis=1)), one(counts.sum(axis=0))
+    return tuple(_plugin_entropy(c, n, miller_madow)
+                 for c in (counts.ravel(), counts.sum(axis=1), counts.sum(axis=0)))
 
 
-def _d_from_tables(tables, miller_madow: bool) -> float:
-    """Chained combination from the four setting-pair count tables."""
-    return _chained(tuple(EntropyTerms(*plugin_entropies(t, miller_madow)) for t in tables))
+@dataclass(frozen=True)
+class _Cells:
+    """The occupied cells of a count table of n shots, laid out once.
+
+    counts, row and col hold each occupied cell's count and indices, in
+    ravel order.  p holds their probabilities in the multinomial's draw
+    order, and back maps that order to ravel order.
+    """
+
+    n: int
+    counts: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    p: np.ndarray
+    back: np.ndarray
+
+    @classmethod
+    def of(cls, table: np.ndarray) -> "_Cells":
+        flat = table.ravel()
+        n = int(flat.sum())
+        p = flat / n
+        # multinomial rejects pvals whose head sums above 1 at roundoff; park
+        # the largest cell last so it absorbs the float remainder.  An empty
+        # cell's binomial is 0 without a draw from the stream, and it leaves
+        # the remaining mass as it was, so the occupied cells alone, kept in
+        # this order, draw the same counts.
+        k = int(np.argmax(p))
+        order = np.arange(p.size)
+        order[k], order[-1] = order[-1], order[k]
+        order = order[p[order] > 0]
+        back = np.argsort(order)
+        cell = order[back]
+        return cls(n, flat[cell], *np.divmod(cell, table.shape[1]), p[order], back)
+
+    def resample(self, rng: np.random.Generator) -> np.ndarray:
+        """Multinomial bootstrap draw of the occupied cells' counts, n fixed."""
+        return rng.multinomial(self.n, self.p)[self.back]
+
+    def terms(self, counts: np.ndarray, miller_madow: bool) -> EntropyTerms:
+        """plugin_entropies of the table whose occupied cells hold `counts`, bitwise.
+
+        The joint sees the same positive counts in ravel order; each
+        marginal is an exact integer sum in float64 (n < 2**53).
+        """
+        counts = counts.astype(float)  # once, for the joint and both weighted sums
+        return EntropyTerms(*(_plugin_entropy(c, self.n, miller_madow) for c in (
+            counts, np.bincount(self.row, weights=counts),
+            np.bincount(self.col, weights=counts))))
 
 
-def _resample(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial bootstrap draw holding the shot count fixed."""
-    flat = table.ravel()
-    n = int(flat.sum())
-    p = flat / n
-    # multinomial rejects pvals whose head sums above 1 at roundoff; park
-    # the largest cell last so it absorbs the float remainder.
-    k = int(np.argmax(p))
-    order = np.arange(p.size)
-    order[k], order[-1] = order[-1], order[k]
-    drawn = rng.multinomial(n, p[order])
-    out = np.empty_like(drawn)
-    out[order] = drawn
-    return out.reshape(table.shape)
+def _estimate(tables, seed: int, miller_madow: bool, n_bootstrap: int
+              ) -> tuple[float, float]:
+    """Chained combination of four count tables, and its bootstrap error.
+
+    Each resample redraws the four tables in order over their occupied
+    cells; nothing is held across resamples but the estimates.
+    """
+    cells = [_Cells.of(t) for t in tables]
+    estimate = _chained(tuple(c.terms(c.counts, miller_madow) for c in cells))
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(97,))))
+    boot = np.empty(n_bootstrap)
+    for bi in range(n_bootstrap):
+        boot[bi] = _chained(tuple(c.terms(c.resample(rng), miller_madow) for c in cells))
+    return estimate, float(np.std(boot, ddof=1))
 
 
 def empirical_d_qm(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
@@ -172,11 +232,4 @@ def empirical_d_qm(state: TmsvParams, geometry: AngleGeometry, delta_bin: float,
                    delta_bin)
         for i, phs in enumerate(sums)
     ]
-    estimate = _d_from_tables(tables, miller_madow)
-
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(97,))))
-    boot = np.empty(n_bootstrap)
-    for bi in range(n_bootstrap):
-        boot[bi] = _d_from_tables([_resample(t, rng) for t in tables], miller_madow)
-    return estimate, float(np.std(boot, ddof=1))
+    return _estimate(tables, seed, miller_madow, n_bootstrap)

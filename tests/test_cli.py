@@ -618,6 +618,13 @@ def test_non_finite_input_exits_2(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_tail_epsilon_without_a_finite_coverage_exits_2(tmp_path, capsys):
+    argv = ["eval", "--r", "1", "--delta", "0.5", "--Delta", "1", "--tail-epsilon"]
+    assert exit_code(argv + ["5e-324"]) == 2
+    assert "tail_epsilon" in capsys.readouterr().err
+    assert run_json(argv + ["1e-320"], tmp_path)["grid_l_max"] == 53
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--Delta", "6", "--r-range", "1", "0"],
     ["minimize", "--Delta", "6", "--r-range", "-1", "1"],

@@ -55,6 +55,14 @@ def test_make_grid_validation():
         make_grid(TmsvParams(1.0), 1.0, tail_epsilon=0.0)
 
 
+@pytest.mark.parametrize("tail_epsilon", [5e-324, 1e-323])
+def test_make_grid_rejects_a_tail_epsilon_without_a_finite_coverage(tail_epsilon):
+    # half of it is 0 or the smallest subnormal, where erfcinv is infinite
+    with pytest.raises(ValueError, match="tail_epsilon"):
+        make_grid(TmsvParams(1.0), 0.5, tail_epsilon=tail_epsilon)
+    assert make_grid(TmsvParams(1.0), 1.0, tail_epsilon=1e-320).l_max == 53
+
+
 def test_make_grid_budget(monkeypatch):
     with pytest.raises(GridTooLarge):
         make_grid(TmsvParams(2.0), 5e-4)

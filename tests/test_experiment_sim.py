@@ -11,8 +11,10 @@ from conftest import (
     HEADLINE_R,
 )
 from entrobell import experiment_sim
+from entrobell.bell import _chained
 from entrobell import (
     AngleGeometry,
+    EntropyTerms,
     GridTooLarge,
     TmsvParams,
     bin_counts,
@@ -141,6 +143,95 @@ def test_empirical_estimate_frozen():
     # plug-in entropies
     assert empirical_d_qm(TmsvParams(1.0), AngleGeometry(0.6), 2.0, 2000, seed=7,
                           n_bootstrap=20) == (0.8485466460655242, 0.029782423212195683)
+
+
+def test_empirical_estimate_without_miller_madow_frozen():
+    # bitwise, as recorded before the bootstrap drew over the occupied cells only
+    assert empirical_d_qm(TmsvParams(1.0), AngleGeometry(0.6), 2.0, 2000, seed=7,
+                          miller_madow=False, n_bootstrap=20) == (
+        0.845296646065524, 0.029803071333867642)
+
+
+# -- the bootstrap over the occupied cells, against a multinomial over the whole box --
+
+def _box_resample(table, rng):
+    """Multinomial bootstrap draw over every cell of the box, largest cell last."""
+    flat = table.ravel()
+    n = int(flat.sum())
+    p = flat / n
+    k = int(np.argmax(p))
+    order = np.arange(p.size)
+    order[k], order[-1] = order[-1], order[k]
+    drawn = rng.multinomial(n, p[order])
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return out.reshape(table.shape)
+
+
+def _box_estimate(tables, seed, miller_madow, n_bootstrap):
+    """The estimate and error bar from plugin_entropies of whole-box resamples."""
+    def d(ts):
+        return _chained(tuple(EntropyTerms(*plugin_entropies(t, miller_madow)) for t in ts))
+
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(97,))))
+    boot = [d([_box_resample(t, rng) for t in tables]) for _ in range(n_bootstrap)]
+    return d(tables), float(np.std(boot, ddof=1))
+
+
+_ENDS_EMPTY = np.array([[0, 3, 5, 0], [2, 9, 1, 4], [4, 0, 6, 0]])
+_LAST_OCCUPIED = np.array([[1, 0, 7], [0, 12, 0], [3, 0, 2]])
+_TIED_LARGEST = np.array([[6, 0, 6], [2, 6, 1]])
+_SINGLE_CELL = np.array([[0, 0, 0], [0, 25, 0]])
+_SPARSE = np.random.default_rng(5).poisson(0.4, size=(9, 13)) * (
+    np.random.default_rng(6).random((9, 13)) < 0.5)
+_SPARSE[0, 0] = _SPARSE[-1, -1] = 0
+
+_TABLE_SETS = {
+    "empty-ends": (_ENDS_EMPTY, _ENDS_EMPTY.T, _ENDS_EMPTY[::-1], _SPARSE),
+    "last-occupied": (_LAST_OCCUPIED, _LAST_OCCUPIED.T, _SPARSE.T, _LAST_OCCUPIED * 3),
+    "tied-largest": (_TIED_LARGEST, _TIED_LARGEST.T, _TIED_LARGEST * 2, _ENDS_EMPTY),
+    "single-cell": (_SINGLE_CELL, _SINGLE_CELL.T, np.array([[40]]), _LAST_OCCUPIED),
+}
+
+
+@pytest.mark.parametrize("miller_madow", [True, False])
+@pytest.mark.parametrize("name", sorted(_TABLE_SETS))
+def test_occupied_cell_bootstrap_matches_the_whole_box(name, miller_madow):
+    tables = _TABLE_SETS[name]
+    got = experiment_sim._estimate(tables, 11, miller_madow, 30)
+    assert got == _box_estimate(tables, 11, miller_madow, 30)
+
+
+@pytest.mark.parametrize("miller_madow", [True, False])
+def test_empirical_estimate_matches_the_whole_box(miller_madow):
+    # fine bins: most of each table's box is empty
+    state, geometry = TmsvParams(HEADLINE_R), AngleGeometry(HEADLINE_DELTA)
+    tables = [bin_counts(sample_pairs(state, phs, 20_000, 3, setting_index=i), 0.25)
+              for i, phs in enumerate(geometry.pair_sums())]
+    assert min(np.count_nonzero(t) / t.size for t in tables) < 0.5
+    assert empirical_d_qm(state, geometry, 0.25, 20_000, seed=3, miller_madow=miller_madow,
+                          n_bootstrap=20) == _box_estimate(tables, 3, miller_madow, 20)
+
+
+def test_bootstrap_draws_only_the_occupied_cells(monkeypatch):
+    calls = []
+
+    class Recording(np.random.Generator):
+        def multinomial(self, n, pvals, size=None):
+            calls.append(np.asarray(pvals))
+            return super().multinomial(n, pvals, size)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    state, geometry = TmsvParams(1.0), AngleGeometry(0.6)
+    occupied = [np.count_nonzero(bin_counts(sample_pairs(state, phs, 2000, 7, setting_index=i),
+                                            0.5))
+                for i, phs in enumerate(geometry.pair_sums())]
+    empirical_d_qm(state, geometry, 0.5, 2000, seed=7, n_bootstrap=5)
+    assert len(calls) == 4 * 5
+    for k, pvals in enumerate(calls):
+        assert pvals.size == occupied[k % 4]
+        assert np.all(pvals > 0.0)
 
 
 def test_empirical_requires_enough_shots():
