@@ -5,6 +5,11 @@ setting pairs, bins them, and estimates the chained entropy combination
 with a bootstrap error bar.  Detection is ideal: no loss, no dark noise,
 no phase jitter, matching the idealisation of the analytic pipeline.
 
+Shots are drawn and binned block by block on every CPU available to the
+process (_map_blocks), each block writing its own slice of arrays the caller
+allocated.  A block's bits depend on the seed, the setting and the block
+alone, so the output does not depend on the CPU count.
+
 Each count table spans the box of windows its shots reach, and most of
 that box is empty at fine bins.  The table is laid out once per request
 over its occupied cells (_Cells), and every bootstrap resample draws and
@@ -16,6 +21,8 @@ and the entropies see the same positive counts in the same order.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +32,9 @@ from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width
 from .entropy import EntropyTerms, _dot
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
-# Shots are generated in fixed-size blocks with one counter-based stream
-# per (setting, block), so any parallel decomposition reproduces the same
-# batch bit for bit.
+# Shots are generated and binned in fixed-size blocks with one counter-based
+# stream per (setting, block), so the blocks run on every available CPU
+# (_map_blocks) and reproduce the same batch bit for bit on any number of them.
 _BLOCK = 1 << 16
 
 # Bootstrap resample count; entropy estimators have no usable closed-form
@@ -72,14 +79,36 @@ def _stream(seed: int, setting_index: int, block_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _map_blocks(fn, n: int) -> list:
+    """[fn(start, stop) for each _BLOCK-sized slice of range(n)], on the available CPUs.
+
+    Serial with one CPU or one block; otherwise one thread per CPU, at most
+    one per block, for the length of the call.  Each result is read, so a
+    worker's exception is raised here.
+    """
+    blocks = [(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks))
+    if workers <= 1:
+        return [fn(*block) for block in blocks]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, *block) for block in blocks]
+        return [future.result() for future in futures]
+
+
 def sample_pairs(state: TmsvParams, phi_sum: float, n: int, seed: int,
                  setting_index: int = 0) -> ShotBatch:
     """n i.i.d. draws from the joint quadrature distribution.
 
     The joint is the bivariate normal with equal per-axis variance
     sigma^2 = v / (2 (v^2 - w^2)) and correlation rho = w / v, sampled
-    through its Cholesky factor.  Deterministic for fixed (seed,
-    setting_index), independent of block scheduling.
+    through its Cholesky factor.  Each block draws its normals into its own
+    rows of the batch and transforms them there, on every available CPU.
+    Deterministic for fixed (seed, setting_index), independent of block
+    scheduling and of the CPU count.
     """
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"need between 1 and {_MAX_SHOTS} shots, got {n}")
@@ -90,12 +119,18 @@ def sample_pairs(state: TmsvParams, phi_sum: float, n: int, seed: int,
     root = math.sqrt(c.v_minus_w * c.v_plus_w) / c.v
 
     out = np.empty((n, 2), dtype=float)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        rng = _stream(seed, setting_index, start // _BLOCK)
-        z = rng.standard_normal((stop - start, 2))
-        out[start:stop, 0] = sigma * z[:, 0]
-        out[start:stop, 1] = sigma * (rho * z[:, 0] + root * z[:, 1])
+
+    def draw(start: int, stop: int) -> None:
+        z = out[start:stop]
+        _stream(seed, setting_index, start // _BLOCK).standard_normal(out=z)
+        # sigma z0 and sigma (rho z0 + root z1), in place: IEEE + and * commute
+        a, b = z.T
+        b *= root
+        b += rho * a
+        b *= sigma
+        a *= sigma
+
+    _map_blocks(draw, n)
     return ShotBatch(pairs=out, r=state.r, phi_sum=phi_sum, seed=seed)
 
 
@@ -105,18 +140,44 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
     Windows are centred at integer multiples of delta_bin, exactly as in
     the analytic pipeline; the table spans the smallest index box holding
     every shot.  A box of more than CELL_BUDGET cells raises GridTooLarge.
+    The window and flat indices are formed block by block on every
+    available CPU, in two arrays allocated here: n float64 A indices and n
+    int64 flat indices, whose buffer holds the B indices until each flat
+    index replaces its own.  The counts do not depend on the CPU count.
     """
     _check_bin_width(delta_bin)
     # window indices per column, kept in float64: a wide record's indices can
     # pass the int64 range, and the box check below must see them first
-    a, b = (np.rint(col / delta_bin) for col in batch.pairs.T)
-    a_lo, b_lo = a.min(), b.min()
-    rows, cols = int(a.max() - a_lo) + 1, int(b.max() - b_lo) + 1
+    flat = np.empty(batch.n, dtype=np.int64)
+    index = np.empty(batch.n), flat.view(float)
+
+    def window(start: int, stop: int) -> list[tuple[float, float]]:
+        spans = []
+        for col, whole in zip(batch.pairs[start:stop].T, index):
+            z = whole[start:stop]
+            np.divide(col, delta_bin, out=z)
+            np.rint(z, out=z)
+            spans.append((z.min(), z.max()))
+        return spans
+
+    spans = np.array(_map_blocks(window, batch.n))  # block, column, (min, max)
+    (a_lo, b_lo), (a_hi, b_hi) = spans[..., 0].min(axis=0), spans[..., 1].max(axis=0)
+    rows, cols = int(a_hi - a_lo) + 1, int(b_hi - b_lo) + 1
     if rows * cols > CELL_BUDGET:
         raise GridTooLarge(f"shots span {rows}x{cols} = {rows * cols} windows, budget is "
                            f"{CELL_BUDGET} (delta_bin={delta_bin}, r={batch.r})")
-    # exact in float64: every flat index is below CELL_BUDGET < 2**53
-    flat = ((a - a_lo) * cols + (b - b_lo)).astype(np.int64)
+
+    def ravel(start: int, stop: int) -> None:
+        # exact in float64: every flat index is below CELL_BUDGET < 2**53
+        a, b = (z[start:stop] for z in index)
+        a -= a_lo
+        a *= cols
+        b -= b_lo
+        a += b
+        flat[start:stop] = a  # over this block's B indices, already read
+
+    _map_blocks(ravel, batch.n)
+    del index
     return np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
 
 

@@ -700,3 +700,20 @@ def test_output_does_not_depend_on_the_blas_thread_count(argv):
     (one, code_one), (two, code_two) = ((run.communicate()[0], run.returncode) for run in runs)
     assert code_one == code_two == 0
     assert one == two
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs and sched_setaffinity")
+def test_sample_does_not_depend_on_the_cpu_count():
+    # the shots are drawn and binned on every CPU the process may run on; one
+    # process is pinned to a single CPU, the other may use them all
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=str(Path(entrobell.__file__).parents[1]))
+    code = "import sys; from entrobell.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "sample", "--r", "1.817", "--delta-pi", "0.213",
+            "--Delta", "0.05", "--n", "1000000", "--seed", "7", "--format", "json"]
+    runs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, preexec_fn=pin)
+            for pin in (lambda: os.sched_setaffinity(0, {cpu}), None)]
+    (one, code_one), (all_, code_all) = ((run.communicate()[0], run.returncode) for run in runs)
+    assert code_one == code_all == 0
+    assert one == all_

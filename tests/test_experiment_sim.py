@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from conftest import (
 )
 from entrobell import experiment_sim
 from entrobell.bell import _chained
+from entrobell.gaussian_core import PhaseSettings, coefficients
 from entrobell import (
     AngleGeometry,
     EntropyTerms,
@@ -87,6 +91,79 @@ def test_shot_csv():
     a0, b0 = map(float, lines[1].split(","))
     assert a0 == batch.pairs[0, 0]
     assert b0 == batch.pairs[0, 1]
+
+
+# -- blocks on every CPU, against the serial block loop ------------------------------
+
+def _serial_pairs(state, phi_sum, n, seed, setting_index):
+    """The shots of sample_pairs as one block after another on one thread."""
+    c = coefficients(state, PhaseSettings(theta=0.0, phi=phi_sum))
+    sigma, rho = c.sigma_marginal, c.correlation
+    root = math.sqrt(c.v_minus_w * c.v_plus_w) / c.v
+    out = np.empty((n, 2), dtype=float)
+    block = experiment_sim._BLOCK
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        z = experiment_sim._stream(seed, setting_index, start // block).standard_normal(
+            (stop - start, 2))
+        out[start:stop, 0] = sigma * z[:, 0]
+        out[start:stop, 1] = sigma * (rho * z[:, 0] + root * z[:, 1])
+    return out
+
+
+def _serial_counts(pairs, delta_bin):
+    """The table of bin_counts from whole columns of window indices."""
+    a, b = (np.rint(col / delta_bin) for col in pairs.T)
+    a_lo, b_lo = a.min(), b.min()
+    rows, cols = int(a.max() - a_lo) + 1, int(b.max() - b_lo) + 1
+    flat = ((a - a_lo) * cols + (b - b_lo)).astype(np.int64)
+    return np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("setting_index", [0, 3])
+@pytest.mark.parametrize("n", [1, 999, experiment_sim._BLOCK, experiment_sim._BLOCK + 1,
+                               3 * experiment_sim._BLOCK + 5])
+def test_blocks_on_four_cpus_match_the_serial_loop(monkeypatch, n, setting_index):
+    # four workers, more than this machine may have cores, switching threads
+    # as often as the interpreter allows
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(experiment_sim.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(experiment_sim, "ThreadPoolExecutor", Recording)
+    state, phi_sum = TmsvParams(HEADLINE_R), 0.4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = sample_pairs(state, phi_sum, n, seed=5, setting_index=setting_index)
+        tables = {delta_bin: bin_counts(batch, delta_bin) for delta_bin in (6.0, 0.25)}
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = -(-n // experiment_sim._BLOCK)
+    assert pools == ([min(4, blocks)] * 5 if blocks > 1 else [])
+    pairs = _serial_pairs(state, phi_sum, n, 5, setting_index)
+    assert np.array_equal(batch.pairs, pairs)
+    for delta_bin, table in tables.items():
+        assert np.array_equal(table, _serial_counts(pairs, delta_bin))
+
+
+def test_bin_counts_peak_memory():
+    # two arrays of n indices, the flat one holding the B column's until it
+    # replaces them: the parent's whole-column temporaries took 2.0x
+    batch = sample_pairs(TmsvParams(HEADLINE_R), 0.4, 10 ** 6, seed=7)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bin_counts(batch, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.5 * batch.pairs.nbytes
 
 
 # -- binning and entropy estimation ----------------------------------------------
