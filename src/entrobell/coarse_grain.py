@@ -56,9 +56,10 @@ Two independent routes compute the probability of a 2D cell:
   stacks, and the entropies read each in place, with no copy.
 * rectangle CDF: the grid edges, scaled to unit variance, form a lattice of
   orthants P(X > x_i, Y > y_j) of the standard bivariate normal with
-  correlation w/v.  Each is evaluated once, by Gauss-Legendre applied to the
-  correlation-integral representation of the CDF, and every cell is the one
-  2D difference of its four corners, clipped at 0.
+  correlation w/v.  Each is evaluated once, by Owen's identity from two
+  values of Owen's T, with 1 - |w/v| taken exactly from v - w or v + w, not
+  from the rounded correlation.  Every cell is the one 2D difference of its
+  four corners, clipped at 0.
 
 On either route, and for binned_marginal, the captured mass is a property of
 the returned distribution, summed when it is read and never during a build.
@@ -100,6 +101,7 @@ DEFAULT_TAIL_EPSILON = 1e-12
 CELL_BUDGET = 400_000_000
 # Gauss-Legendre order per panel; panels subdivide each window.
 _PANEL_ORDER = 16
+_GL16 = np.polynomial.legendre.leggauss(_PANEL_ORDER)  # the panel rule
 # Uniform panels are at most min(sigma_a, _SLAB_RESOLUTION sigma_c/|rho|)/4
 # wide, so both the marginal Gaussian and the conditional slab edge (which
 # varies in a on the scale sigma_c/|rho|) are resolved; without the second
@@ -558,30 +560,13 @@ def bin_prob_2d(coeffs: JointGaussianCoefficients, grid: CoarseGrid, l: int, m: 
 
 
 # ---------------------------------------------------------------------------
-# Standard bivariate normal probabilities (Gauss-Legendre on the
-# correlation-integral representation, with the high-correlation reduction
-# of Drezner & Wesolowsky as refined by Genz).
-
-_GL6 = np.polynomial.legendre.leggauss(6)
-_GL12 = np.polynomial.legendre.leggauss(12)
-_GL16 = np.polynomial.legendre.leggauss(_PANEL_ORDER)  # the panel rule
-_GL20 = np.polynomial.legendre.leggauss(20)
-
-
-def _gl_rule(rho: float) -> tuple[np.ndarray, np.ndarray]:
-    a = abs(rho)
-    if a < 0.3:
-        return _GL6
-    if a < 0.75:
-        return _GL12
-    return _GL20
-
+# Standard bivariate normal probabilities (Owen's T).
 
 def bvn_upper(h: float | np.ndarray, k: float | np.ndarray, rho: float) -> float | np.ndarray:
     """P(X > h, Y > k) for standard bivariate normal with correlation rho.
 
     h and k broadcast against each other at the one rho: numbers give a
-    float, arrays an array.  A call holds (elements x quadrature nodes) values.
+    float, arrays an array.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
@@ -589,57 +574,43 @@ def bvn_upper(h: float | np.ndarray, k: float | np.ndarray, rho: float) -> float
 
 
 def _bvn_upper(h, k, rho: float, one_minus_abs_rho: float):
-    """bvn_upper, given 1 - |rho| to its full precision.
+    """bvn_upper, given omr = 1 - |rho| to its full precision.
 
-    Near |rho| = 1 the correlation itself has lost the digits of 1 - |rho|:
-    at r = 10 on the ridge w/v rounds to 1.  The residual branch is taken
-    while 1 - |rho| > 0 and forms 1 - rho^2 as omr (2 - omr) from it.  With
-    omr = 1 - |rho| formed from the rounded rho, as bvn_upper does, both
-    are bitwise the (1 - rho)(1 + rho) and |rho| < 1 of the rounded rho.
+    Owen's identity (Ann. Math. Statist. 27, 1075 (1956)) gives the orthant
+    as Phi(-h)/2 + Phi(-k)/2 - T(h, a_h) - T(k, a_k) - beta, with Owen's T
+    from scipy (Patefield and Tandy), a_h = (k - rho h) / (h sqrt(1 - rho^2)),
+    a_k likewise, and beta = 1/2 where the sign bits of h and k differ.  A
+    zero h makes a_h a signed infinity, T(0, +-inf) = +-1/4, and either
+    zero gives the same answer.  Near |rho| = 1 the correlation itself has
+    lost the digits of omr: at r = 10 on the ridge w/v rounds to 1.  So,
+    with s the sign of rho, k - rho h is formed as (k - s h) + s omr h and
+    1 - rho^2 as omr (2 - omr), from omr alone.  rho = 0 takes the exact
+    product Phi(-h) Phi(-k), omr = 0 the limits rho = +-1, and h = k = 0
+    the closed form 1/4 + asin(rho) / (2 pi).
     """
-    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
-    x, wts = _gl_rule(rho)
-    hk = h * k
-    bvn = 0.0
-    if abs(rho) < 0.925:
-        if rho != 0.0:
-            hs = 0.5 * (h * h + k * k)
-            asr = math.asin(rho)
-            sn = np.sin(0.5 * asr * (x + 1.0))
-            bvn = np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn)) @ wts
-            bvn *= asr / (4.0 * math.pi)
-        out = bvn + special.ndtr(-h) * special.ndtr(-k)
-        return float(out) if out.ndim == 0 else out
-    # |rho| >= 0.925: integrate the residual after removing the rho -> +-1 limit.
-    if rho < 0.0:
-        k, hk = -k, -hk
-    if one_minus_abs_rho > 0.0:
-        a_s = one_minus_abs_rho * (2.0 - one_minus_abs_rho)
-        a = math.sqrt(a_s)
-        bs = (h - k) ** 2
-        c = (4.0 - hk) / 8.0
-        d = (12.0 - hk) / 16.0
-        asr = -0.5 * (bs / a_s + hk)
-        b = np.sqrt(bs)
-        half = 0.5 * a
-        xs = (half * (x + 1.0)) ** 2
-        rs = np.sqrt(1.0 - xs)
-        asr_v = -0.5 * (bs[..., None] / xs + hk[..., None])
-        sp = 1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs)
-        # np.where drops the terms past the cut-offs, which may overflow first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ep = np.exp(-0.5 * hk[..., None] * (1.0 - rs) / (1.0 + rs)) / rs
-            bvn = np.where(asr > -100.0, a * np.exp(asr) * (
-                1.0 - c * (bs - a_s) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a_s * a_s / 5.0), 0.0)
-            bvn -= np.where(-hk < 100.0, np.exp(-0.5 * hk) * math.sqrt(2.0 * math.pi)
-                            * special.ndtr(-b / a) * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
-                            0.0)
-            bvn += half * (np.where(asr_v > -100.0, np.exp(asr_v) * (ep - sp), 0.0) @ wts)
-        bvn = -bvn / (2.0 * math.pi)
-    if rho > 0.0:
-        out = bvn + special.ndtr(-np.maximum(h, k))
+    # Phi(-40) underflows to 0: clipped to +-40, an orthant moves by less than
+    # that, and an infinite bound needs no case of its own.
+    h, k = (np.clip(np.asarray(v, dtype=float), -40.0, 40.0) for v in (h, k))
+    if rho == 0.0:
+        out = special.ndtr(-h) * special.ndtr(-k)
+    elif one_minus_abs_rho == 0.0:
+        out = (special.ndtr(-np.maximum(h, k)) if rho > 0.0
+               else np.maximum(special.ndtr(-k) - special.ndtr(h), 0.0))
     else:
-        out = np.where(k > h, special.ndtr(k) - special.ndtr(h), 0.0) - bvn
+        s, omr = math.copysign(1.0, rho), one_minus_abs_rho
+        root = math.sqrt(omr * (2.0 - omr))
+        # a_h and a_k do not change when h and k are scaled together, so they
+        # are formed from h and k scaled exactly to below 1 in magnitude: a
+        # pair of subnormals keeps its digits.  A zero divides by 0, and a
+        # number far smaller than its partner overflows.
+        e = np.frexp(np.maximum(np.abs(h), np.abs(k)))[1]
+        x, y = np.ldexp(h, -e), np.ldexp(k, -e)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a_h = ((y - s * x) + s * omr * x) / (x * root)
+            a_k = ((x - s * y) + s * omr * y) / (y * root)
+        out = (0.5 * (special.ndtr(-h) + special.ndtr(-k)) - special.owens_t(h, a_h)
+               - special.owens_t(k, a_k) - 0.5 * (np.signbit(h) != np.signbit(k)))
+        out = np.where((h == 0.0) & (k == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -815,6 +816,16 @@ def test_bvn_rectangle_consistency():
     assert val == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.3, -0.95, 1.0 - 1e-12, 1.0, -1.0])
+def test_bvn_upper_takes_infinite_bounds(rho):
+    # an infinite bound is the limit of a finite one: a half-infinite rectangle
+    assert abs(bvn_upper(math.inf, 1.2, rho)) <= 2e-16
+    assert abs(bvn_upper(-math.inf, 1.2, rho) - special.ndtr(-1.2)) <= 2e-16
+    assert abs(bvn_upper(1.2, -math.inf, rho) - special.ndtr(-1.2)) <= 2e-16
+    assert abs(bvn_rectangle(-math.inf, math.inf, -0.7, 1.2, rho)
+               - (special.ndtr(1.2) - special.ndtr(-0.7))) <= 2e-16
+
+
 @given(rho=st.floats(min_value=-0.99, max_value=0.99),
        h=st.floats(min_value=-3.0, max_value=3.0),
        k=st.floats(min_value=-3.0, max_value=3.0))
@@ -885,3 +896,37 @@ def test_bvn_upper_on_arrays_matches_the_scalar_table():
             one = bvn_upper(float(one_h), float(one_k), float(rho))
             assert type(one) is float
             assert abs(one - one_want) <= 2e-16
+
+
+@functools.lru_cache(maxsize=None)  # 0.0 and -0.0 are one key: the orthant is the same
+def _mp_bvn_upper(h, k, rho):
+    """P(X > h, Y > k) to 40 digits: int_h^inf phi(x) Phi(-(k - rho x) / sqrt(1 - rho^2)) dx."""
+    with mp.workdps(40):
+        h, k, rho = mp.mpf(h), mp.mpf(k), mp.mpf(rho)
+        if rho == 1:
+            return mp.ncdf(-max(h, k))
+        if rho == -1:
+            return max(mp.mpf(0), mp.ncdf(-k) - mp.ncdf(h))
+        s = mp.sqrt((1 - rho) * (1 + rho))
+        # the inner tail steps from 0 to 1 about x = k / rho: split there
+        points = [h, k / rho, mp.inf] if rho != 0 and k / rho > h else [h, mp.inf]
+        return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((rho * x - k) / s), points)
+
+
+# The inputs that Owen's identity writes out by hand: a zero h or k of
+# either sign (a signed infinite a, and the sign-bit beta), both zero (the
+# closed form), subnormals alone and in pairs (a from the scaled pair), and
+# h, k a hair apart; at each sign of rho, near and at |rho| = 1.
+_OWEN_EDGE_PAIRS = (
+    [(h, k) for h in (0.0, -0.0) for k in (1.2, -1.2)]
+    + [(k, h) for h in (0.0, -0.0) for k in (1.2, -1.2)]
+    + [(h, k) for h in (0.0, -0.0) for k in (0.0, -0.0)]
+    + [(5e-324, 1.2), (-1.2, 5e-324), (-5e-324, 0.0), (5e-324, -5e-324), (2.0, 2.0 + 1e-9)]
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", [0.3, -0.3, 0.95, -0.95, 1.0 - 1e-12, -(1.0 - 1e-12), 1.0, -1.0])
+def test_bvn_upper_matches_the_mpmath_orthant_on_owens_edge_cases(rho):
+    for h, k in _OWEN_EDGE_PAIRS:
+        assert abs(bvn_upper(h, k, rho) - float(_mp_bvn_upper(h, k, rho))) <= 2e-16, (h, k)
