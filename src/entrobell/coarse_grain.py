@@ -47,10 +47,13 @@ Two independent routes compute the probability of a 2D cell:
   panel counts form blocks whose band edges x nodes add up to at most
   _BLOCK_ELEMENTS, or one row if a row alone is larger; _integrate
   evaluates only those edges, with no padding, and contracts each block in
-  one einsum.  Every cell depends on its own row
-  alone, so the result is bitwise the same in any batch and for any block
-  size, and bin_prob_2d, which computes one row on the same path, returns
-  bitwise the binned_joint entry.  The joints are kept in request order,
+  one einsum.  A pass of at least _SPLIT_ELEMENTS slab elements runs on
+  every CPU, one contiguous run of blocks each: the caller runs one and
+  kept worker threads the others (_on_every_cpu).  Every cell depends on
+  its own row alone, so the result is bitwise the same in any batch, for
+  any block size and on any number of CPUs, and bin_prob_2d, which
+  computes one row on the same path, returns bitwise the binned_joint
+  entry.  The joints are kept in request order,
   and each run of consecutive joints with the same grid size is unfolded
   from its wedges as one (joints, n, n) stack; _binned_joints returns these
   stacks, and the entropies read each in place, with no copy.
@@ -83,8 +86,13 @@ both tails keep full relative precision.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby
 
 import numpy as np
@@ -126,6 +134,12 @@ _MIN_CUT = 9.0
 # more than 8192 nodes take over 2 * 2 * 8193 > 1 << 15 elements: such a
 # row is always alone in its block, and summed the same in every pass.
 _BLOCK_ELEMENTS = 1 << 15
+# A pass of at least this many slab elements is split into one run of blocks
+# per CPU (_integrate); a smaller one runs on the calling thread alone, as do
+# Nelder-Mead steps and bin_prob_2d.  On the benchmark's scan, minimize and
+# eval-fine requests, 1 << 15, 1 << 16 and 1 << 17 ran within 8 % of each
+# other (2 CPUs), in no consistent order.
+_SPLIT_ELEMENTS = 1 << 16
 
 
 class GridTooLarge(Exception):
@@ -447,32 +461,123 @@ def _panel_plan(jobs) -> _PanelPlan:
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, read on each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The inboxes of _on_every_cpu's worker threads: started when a call first
+# needs them, kept for the process, and forgotten in a forked child, which
+# has none of its parent's threads.
+_workers: list[queue.SimpleQueue] = []
+_workers_lock = threading.Lock()
+
+
+def _forget_workers() -> None:
+    global _workers_lock
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _work(inbox: queue.SimpleQueue) -> None:
+    while True:
+        _run_share(*inbox.get())
+
+
+def _run_share(share, context: contextvars.Context, index: int, done: queue.SimpleQueue) -> None:
+    # a function of its own, so that an idle worker holds nothing of its last share
+    try:
+        done.put((index, context.run(share), None))
+    except BaseException as exc:  # handed to the caller, which raises it
+        done.put((index, None, exc))
+
+
+def _on_every_cpu(shares) -> list:
+    """[share() for share in shares]: shares[0] on the calling thread, each other on a kept worker.
+
+    Each worker share runs in a copy of the caller's context, so the
+    caller's np.errstate holds there too.  Every share is waited for, and
+    then the first exception, in share order, is raised here.  A share must
+    not call this itself.
+    """
+    with _workers_lock:
+        while len(_workers) < len(shares) - 1:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(inbox,), name="entrobell-worker",
+                             daemon=True).start()
+            _workers.append(inbox)
+        inboxes = _workers[:len(shares) - 1]
+    done = queue.SimpleQueue()
+    for index, (share, inbox) in enumerate(zip(shares[1:], inboxes), 1):
+        inbox.put((share, contextvars.copy_context(), index, done))
+    results, errors = [None] * len(shares), [None] * len(shares)
+    try:
+        results[0] = shares[0]()
+    except BaseException as exc:
+        errors[0] = exc
+    for _ in inboxes:
+        index, results[index], errors[index] = done.get()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _integrate(plan: _PanelPlan) -> np.ndarray:
     """The cells of a plan, one einsum per block: the wedge rows of every joint end to end.
 
     Each row is n_bins long, in the order of the `jobs` given to
     _panel_plan and of their windows.  Row l holds the panel-quadrature
     cell probabilities of the columns m in [l, -l] and zeros elsewhere.
-    A row's sums do not depend on its block (_BLOCK_ELEMENTS).
+    A row's sums do not depend on its block (_BLOCK_ELEMENTS).  A pass of
+    at least _SPLIT_ELEMENTS slab elements is split into one contiguous run
+    of blocks per CPU, of about equal slab elements (_on_every_cpu); each
+    run writes its own cells, so the bits do not depend on the CPU count.
     """
-    x1, wts, p = _GL16[0] + 1.0, _GL16[1], 0
+    x1, wts = _GL16[0] + 1.0, _GL16[1]
     out = np.zeros(plan.size + 1)
     blocks, pairs, counts = plan.blocks.tolist(), plan.block_pairs.tolist(), plan.counts.tolist()
-    for first, stop, q0, q1 in zip(blocks, blocks[1:], pairs, pairs[1:]):
-        rows, n_rows, count = slice(first, stop), stop - first, counts[first]
-        p_end, n = p + n_rows * count, _PANEL_ORDER * count
-        hw = plan.panel_half[p:p_end, None]
-        nodes = (plan.panel_start[p:p_end, None] + hw * x1).reshape(n_rows, count, _PANEL_ORDER)
-        f = (_marginal_density(nodes, plan.cosh_2r[rows, None, None])
-             * (hw * wts).reshape(nodes.shape)).reshape(n_rows, n)
-        mu = plan.rho[rows, None, None] * nodes / plan.sigma_c[rows, None, None]
-        # z = edge - mu of each pair's row; the slab from a row's last edge to
-        # the next row's first goes to the spare element at the end.
-        row = plan.row[q0:q1]
-        z = mu.reshape(n_rows, n)[row]
-        np.subtract(plan.edges[q0:q1, None], z, out=z)
-        out[plan.cell[q0:q1 - 1]] = np.einsum("pn,pn->p", _normal_slabs(z), f[row[:-1]])
-        p = p_end
+
+    def run(b0: int, b1: int, p: int) -> None:
+        """Blocks b0..b1 - 1, whose panels start at p."""
+        for first, stop, q0, q1 in zip(blocks[b0:b1], blocks[b0 + 1:b1 + 1],
+                                       pairs[b0:b1], pairs[b0 + 1:b1 + 1]):
+            rows, n_rows, count = slice(first, stop), stop - first, counts[first]
+            p_end, n = p + n_rows * count, _PANEL_ORDER * count
+            hw = plan.panel_half[p:p_end, None]
+            nodes = (plan.panel_start[p:p_end, None] + hw * x1).reshape(n_rows, count, _PANEL_ORDER)
+            f = (_marginal_density(nodes, plan.cosh_2r[rows, None, None])
+                 * (hw * wts).reshape(nodes.shape)).reshape(n_rows, n)
+            mu = plan.rho[rows, None, None] * nodes / plan.sigma_c[rows, None, None]
+            # z = edge - mu of each pair's row; the slab from a row's last edge
+            # to the next row's first goes to the spare element at the end,
+            # which every block writes and nothing reads.
+            row = plan.row[q0:q1]
+            z = mu.reshape(n_rows, n)[row]
+            np.subtract(plan.edges[q0:q1, None], z, out=z)
+            out[plan.cell[q0:q1 - 1]] = np.einsum("pn,pn->p", _normal_slabs(z), f[row[:-1]])
+            p = p_end
+
+    n_blocks = len(blocks) - 1
+    k = min(_cpu_count(), n_blocks) if plan.slab_elements >= _SPLIT_ELEMENTS else 1
+    if k <= 1:
+        run(0, n_blocks, 0)
+        return out[:-1]
+    # Each block goes to the run in whose share of the slab elements its middle lies.
+    first_count, n_pairs = plan.counts[plan.blocks[:-1]], np.diff(plan.block_pairs)
+    elements = _PANEL_ORDER * first_count * n_pairs
+    cuts = np.searchsorted(elements.cumsum() - 0.5 * elements,
+                           plan.slab_elements * np.arange(k + 1) / k)
+    panels = np.concatenate(([0], (first_count * np.diff(plan.blocks)).cumsum()))
+    _on_every_cpu([partial(run, b0, b1, p) for b0, b1, p in
+                   zip(cuts[:-1].tolist(), cuts[1:].tolist(), panels[cuts].tolist()) if b1 > b0])
     return out[:-1]
 
 

@@ -6,9 +6,11 @@ with a bootstrap error bar.  Detection is ideal: no loss, no dark noise,
 no phase jitter, matching the idealisation of the analytic pipeline.
 
 Shots are drawn and binned block by block on every CPU available to the
-process (_map_blocks), each block writing its own slice of arrays the caller
-allocated.  A block's bits depend on the seed, the setting and the block
-alone, so the output does not depend on the CPU count.
+process (_map_blocks): each CPU takes every k-th block, the caller one share
+and the kernel's kept workers (coarse_grain._on_every_cpu) the others, and
+each block writes its own slice of arrays the caller allocated.  A block's
+bits depend on the seed, the setting and the block alone, so the output does
+not depend on the CPU count.
 
 Each count table spans the box of windows its shots reach, and most of
 that box is empty at fine bins.  The table is laid out once per request
@@ -21,14 +23,12 @@ and the entropies see the same positive counts in the same order.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import AngleGeometry, _chained
-from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width
+from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width, _cpu_count, _on_every_cpu
 from .entropy import EntropyTerms, _dot
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
@@ -82,21 +82,17 @@ def _stream(seed: int, setting_index: int, block_index: int) -> np.random.Genera
 def _map_blocks(fn, n: int) -> list:
     """[fn(start, stop) for each _BLOCK-sized slice of range(n)], on the available CPUs.
 
-    Serial with one CPU or one block; otherwise one thread per CPU, at most
-    one per block, for the length of the call.  Each result is read, so a
-    worker's exception is raised here.
+    Serial with one CPU or one block; otherwise the k = min(CPUs, blocks)
+    shares blocks[i::k] run through _on_every_cpu, which raises a share's
+    exception here.
     """
     blocks = [(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(blocks))
-    if workers <= 1:
+    k = min(_cpu_count(), len(blocks))
+    if k <= 1:
         return [fn(*block) for block in blocks]
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(fn, *block) for block in blocks]
-        return [future.result() for future in futures]
+    done = _on_every_cpu([lambda i=i: [fn(*block) for block in blocks[i::k]]
+                          for i in range(k)])
+    return [done[j % k][j // k] for j in range(len(blocks))]
 
 
 def sample_pairs(state: TmsvParams, phi_sum: float, n: int, seed: int,

@@ -717,3 +717,27 @@ def test_sample_does_not_depend_on_the_cpu_count():
     (one, code_one), (all_, code_all) = ((run.communicate()[0], run.returncode) for run in runs)
     assert code_one == code_all == 0
     assert one == all_
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs and sched_setaffinity")
+@pytest.mark.parametrize("argv", [
+    ["scan", "--Delta", "1.5", "--r-range", "0.2", "1.8", "--r-points", "5",
+     "--delta-range", "0.15", "0.45", "--delta-points", "4"],
+    ["eval", "--r", "0.2", "--delta-pi", "0.05", "--Delta", "0.1062", "--mutual-info"],
+    ["minimize", "--Delta", "3.5", "--r-range", "0", "2", "--coarse-points", "8",
+     "--refine-starts", "3"],
+])
+def test_kernel_output_does_not_depend_on_the_cpu_count(argv):
+    # kernel passes of at least _SPLIT_ELEMENTS slab elements run on every CPU
+    # the process may run on; one process is pinned to a single CPU, the other
+    # may use them all
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=str(Path(entrobell.__file__).parents[1]))
+    code = "import sys; from entrobell.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = [subprocess.Popen([sys.executable, "-c", code, *argv, "--format", "json"], env=env,
+                             stdout=subprocess.PIPE, preexec_fn=pin)
+            for pin in (lambda: os.sched_setaffinity(0, {cpu}), None)]
+    (one, code_one), (all_, code_all) = ((run.communicate()[0], run.returncode) for run in runs)
+    assert code_one == code_all == 0
+    assert one == all_

@@ -2,6 +2,11 @@ import functools
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -365,6 +370,135 @@ def test_rows_einsum_would_split_are_alone_in_their_block(monkeypatch):
         assert (elements[shared] <= coarse_grain._BLOCK_ELEMENTS).all()
         assert (coarse_grain._PANEL_ORDER * p.counts[first[shared]] <= 8192).all()
     assert any((p.blocks[1:] - p.blocks[:-1] > 1).any() for p in plans)
+
+
+# -- the kernel on every CPU ---------------------------------------------------
+
+# The joints of one pass of a benchmark-sized scan request at Delta = 1.5,
+# above the split threshold; the subprocess scripts below build the same pass.
+_SPLIT_POINTS = [(r, phi_sum) for r in (0.4, 0.8, 1.2, 1.6, 2.0) for phi_sum in (0.1, 0.5, 1.3)]
+_SPLIT_PASS = f"""
+from entrobell import TmsvParams, coarse_grain
+points = [(TmsvParams(r), phi_sum) for r, phi_sum in {_SPLIT_POINTS}]
+grids = coarse_grain._grids(points, 1.5, 1e-12)
+
+def split_pass():
+    return b"".join(s.tobytes() for s in coarse_grain._binned_joints(points, grids))
+"""
+
+
+def _split_plan():
+    points = [(TmsvParams(r), phi_sum) for r, phi_sum in _SPLIT_POINTS]
+    grids = coarse_grain._grids(points, 1.5, 1e-12)
+    plan = coarse_grain._panel_plan([
+        (coefficients(state, PhaseSettings(0.0, phi_sum)), grids[state.r],
+         range(-grids[state.r].l_max, 1)) for state, phi_sum in points])
+    assert plan.slab_elements >= coarse_grain._SPLIT_ELEMENTS and plan.blocks.size > 5
+    return plan
+
+
+def _run_script(script: str, *cpus: int) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh process that sees the CPUs `cpus`, or the machine's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(coarse_grain.__file__).parents[1]))
+    if cpus:
+        script = f"import os\nos.sched_getaffinity = lambda pid: {set(cpus)}\n" + script
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_integrate_does_not_depend_on_the_cpu_count(monkeypatch):
+    # one CPU and four, more than this machine may have, switching threads as
+    # often as the interpreter allows: the same bits, and the pass was split
+    plan, shares, on_every_cpu = _split_plan(), [], coarse_grain._on_every_cpu
+    monkeypatch.setattr(coarse_grain, "_on_every_cpu",
+                        lambda fns: shares.append(len(fns)) or on_every_cpu(fns))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cells = {}
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            cells[len(cpus)] = coarse_grain._integrate(plan).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert shares == [4]
+    assert cells[1] == cells[4]
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    class WorkerFailed(Exception):
+        pass
+
+    plan, slabs = _split_plan(), coarse_grain._normal_slabs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = coarse_grain._integrate(plan).tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def failing(z):
+        if threading.current_thread() is not threading.main_thread():
+            raise WorkerFailed
+        return slabs(z)
+
+    monkeypatch.setattr(coarse_grain, "_normal_slabs", failing)
+    with pytest.raises(WorkerFailed):
+        coarse_grain._integrate(plan)
+    monkeypatch.setattr(coarse_grain, "_normal_slabs", slabs)
+    assert coarse_grain._integrate(plan).tobytes() == serial
+
+
+def test_worker_shares_run_under_the_callers_errstate():
+    def divide():
+        return np.divide(1.0, np.zeros(1))
+
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            coarse_grain._on_every_cpu([divide, divide])
+        with pytest.raises(FloatingPointError):
+            coarse_grain._on_every_cpu([lambda: None, divide])
+    with np.errstate(divide="ignore"):
+        assert [s[0] for s in coarse_grain._on_every_cpu([divide] * 3)] == [np.inf] * 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_split_passes():
+    # the kept workers are threads of the parent alone; the child starts its own
+    script = _SPLIT_PASS + """
+import sys, time
+want = split_pass()
+assert coarse_grain._workers
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if split_pass() == want else 1)
+deadline = time.monotonic() + 20
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child hung")
+"""
+    run = _run_script(script, 0, 1)
+    assert run.returncode == 0, run.stderr
+
+
+def test_no_thread_starts_at_import_or_for_small_passes():
+    # four CPUs seen: the warm-up eval's passes are below the split threshold,
+    # and the first pass above it starts one worker per extra CPU
+    script = _SPLIT_PASS + """
+import threading
+from entrobell.cli import main
+assert threading.active_count() == 1
+assert main(["eval", "--r", "0.5", "--delta", "0.5", "--Delta", "0.5", "--mutual-info",
+             "--format", "json"]) == 0
+assert threading.active_count() == 1
+split_pass()
+assert threading.active_count() == 4
+"""
+    run = _run_script(script, 0, 1, 2, 3)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("delta, points", _MIXED_BATCHES)

@@ -1,8 +1,8 @@
 import io
 import math
+import os
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,16 +126,14 @@ def _serial_counts(pairs, delta_bin):
 def test_blocks_on_four_cpus_match_the_serial_loop(monkeypatch, n, setting_index):
     # four workers, more than this machine may have cores, switching threads
     # as often as the interpreter allows
-    pools = []
+    shares, on_every_cpu = [], experiment_sim._on_every_cpu
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
+    def recording(fns):
+        shares.append(len(fns))
+        return on_every_cpu(fns)
 
-    monkeypatch.setattr(experiment_sim.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    monkeypatch.setattr(experiment_sim, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(experiment_sim, "_on_every_cpu", recording)
     state, phi_sum = TmsvParams(HEADLINE_R), 0.4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -145,7 +143,7 @@ def test_blocks_on_four_cpus_match_the_serial_loop(monkeypatch, n, setting_index
     finally:
         sys.setswitchinterval(interval)
     blocks = -(-n // experiment_sim._BLOCK)
-    assert pools == ([min(4, blocks)] * 5 if blocks > 1 else [])
+    assert shares == ([min(4, blocks)] * 5 if blocks > 1 else [])
     pairs = _serial_pairs(state, phi_sum, n, 5, setting_index)
     assert np.array_equal(batch.pairs, pairs)
     for delta_bin, table in tables.items():
