@@ -20,8 +20,10 @@ Where the grid has one bin per record (Delta >= 2 k sigma), every outcome
 is certain and each S_qm is exactly 0, so d_qm_value, scan, scan_zero_delta
 and minimize read d_qm = 0.0 there without building a joint (see
 entropy._s_qm_values); the kernel gives the same +0.0 bit for bit.
-evaluate builds the four pair joints at every point, as its terms and
-mutual-information margin read them.
+evaluate reads the joints of its four setting pairs, for its terms and
+mutual-information margin, and builds each distinct (r, |phi_sum|) among
+them once (entropy._joint_terms): two for the one-parameter family, whose
+pair sums are delta/3, -delta/3, delta/3 and delta.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ._version import __version__
 from .coarse_grain import DEFAULT_TAIL_EPSILON, PANEL_QUADRATURE, make_grid
@@ -434,6 +435,8 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     best cells.  Fully deterministic; if no simplex run converges within
     budget the best point seen is still returned, flagged converged=False.
     """
+    from scipy import optimize  # imported by its one user alone: it slows every start-up
+
     r_lo, r_hi = map(float, r_bounds)
     d_lo, d_hi = map(float, delta_bounds)
     if not (r_hi >= r_lo >= 0.0) or not (d_hi >= d_lo):

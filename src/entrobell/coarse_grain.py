@@ -48,8 +48,9 @@ Two independent routes compute the probability of a 2D cell:
   _BLOCK_ELEMENTS, or one row if a row alone is larger; _integrate
   evaluates only those edges, with no padding, and contracts each block in
   one einsum.  A pass of at least _SPLIT_ELEMENTS slab elements runs on
-  every CPU, one contiguous run of blocks each: the caller runs one and
-  kept worker threads the others (_on_every_cpu).  Every cell depends on
+  every CPU, one contiguous run of blocks of about equal slab elements each
+  (_on_every_cpu, the package's one split rule): the caller makes one run
+  and a kept ThreadPoolExecutor the others.  Every cell depends on
   its own row alone, so the result is bitwise the same in any batch, for
   any block size and on any number of CPUs, and bin_prob_2d, which
   computes one row on the same path, returns bitwise the binned_joint
@@ -89,10 +90,8 @@ import bisect
 import contextvars
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, groupby
 
 import numpy as np
@@ -469,65 +468,42 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# The inboxes of _on_every_cpu's worker threads: started when a call first
-# needs them, kept for the process, and forgotten in a forked child, which
-# has none of its parent's threads.
-_workers: list[queue.SimpleQueue] = []
-_workers_lock = threading.Lock()
+def _new_executor() -> None:
+    """Give the process a fresh pool of kept workers, one per extra CPU, started as needed.
 
-
-def _forget_workers() -> None:
-    global _workers_lock
-    _workers.clear()
-    _workers_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _work(inbox: queue.SimpleQueue) -> None:
-    while True:
-        _run_share(*inbox.get())
-
-
-def _run_share(share, context: contextvars.Context, index: int, done: queue.SimpleQueue) -> None:
-    # a function of its own, so that an idle worker holds nothing of its last share
-    try:
-        done.put((index, context.run(share), None))
-    except BaseException as exc:  # handed to the caller, which raises it
-        done.put((index, None, exc))
-
-
-def _on_every_cpu(shares) -> list:
-    """[share() for share in shares]: shares[0] on the calling thread, each other on a kept worker.
-
-    Each worker share runs in a copy of the caller's context, so the
-    caller's np.errstate holds there too.  Every share is waited for, and
-    then the first exception, in share order, is raised here.  A share must
-    not call this itself.
+    A forked child calls this too: it has none of its parent's threads.
     """
-    with _workers_lock:
-        while len(_workers) < len(shares) - 1:
-            inbox = queue.SimpleQueue()
-            threading.Thread(target=_work, args=(inbox,), name="entrobell-worker",
-                             daemon=True).start()
-            _workers.append(inbox)
-        inboxes = _workers[:len(shares) - 1]
-    done = queue.SimpleQueue()
-    for index, (share, inbox) in enumerate(zip(shares[1:], inboxes), 1):
-        inbox.put((share, contextvars.copy_context(), index, done))
-    results, errors = [None] * len(shares), [None] * len(shares)
+    global _executor
+    _executor = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="entrobell-worker")
+
+
+_new_executor()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_executor)
+
+
+def _on_every_cpu(run, weights) -> list:
+    """[run(i, j) for each of k contiguous runs i..j - 1 of the items], on k = min(CPUs, items).
+
+    weights[item] is the item's cost.  The runs are of about equal weight:
+    each item goes to the run that holds the middle of its weight.  The
+    first run is made on the calling thread, each other on a kept worker in
+    a copy of the caller's context, so the caller's np.errstate holds there
+    too.  Every run is waited for, and then the first exception, in run
+    order, is raised here.  A run must not call this itself.
+    """
+    weights = np.asarray(weights, dtype=float)
+    k, ends = min(_cpu_count(), weights.size), weights.cumsum()
+    cuts = [0, *np.searchsorted(ends - 0.5 * weights, ends[-1] * np.arange(1, k) / k).tolist(),
+            weights.size]
+    runs = [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
+    futures = [_executor.submit(contextvars.copy_context().run, run, i, j) for i, j in runs[1:]]
     try:
-        results[0] = shares[0]()
-    except BaseException as exc:
-        errors[0] = exc
-    for _ in inboxes:
-        index, results[index], errors[index] = done.get()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        first = run(*runs[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the run, and raises nothing
+    return [first, *(future.result() for future in futures)]  # raises the first error
 
 
 def _integrate(plan: _PanelPlan) -> np.ndarray:
@@ -545,8 +521,9 @@ def _integrate(plan: _PanelPlan) -> np.ndarray:
     out = np.zeros(plan.size + 1)
     blocks, pairs, counts = plan.blocks.tolist(), plan.block_pairs.tolist(), plan.counts.tolist()
 
-    def run(b0: int, b1: int, p: int) -> None:
-        """Blocks b0..b1 - 1, whose panels start at p."""
+    def run(b0: int, b1: int) -> None:
+        """Blocks b0..b1 - 1."""
+        p = sum(counts[:blocks[b0]])  # their first panel
         for first, stop, q0, q1 in zip(blocks[b0:b1], blocks[b0 + 1:b1 + 1],
                                        pairs[b0:b1], pairs[b0 + 1:b1 + 1]):
             rows, n_rows, count = slice(first, stop), stop - first, counts[first]
@@ -565,19 +542,10 @@ def _integrate(plan: _PanelPlan) -> np.ndarray:
             out[plan.cell[q0:q1 - 1]] = np.einsum("pn,pn->p", _normal_slabs(z), f[row[:-1]])
             p = p_end
 
-    n_blocks = len(blocks) - 1
-    k = min(_cpu_count(), n_blocks) if plan.slab_elements >= _SPLIT_ELEMENTS else 1
-    if k <= 1:
-        run(0, n_blocks, 0)
-        return out[:-1]
-    # Each block goes to the run in whose share of the slab elements its middle lies.
-    first_count, n_pairs = plan.counts[plan.blocks[:-1]], np.diff(plan.block_pairs)
-    elements = _PANEL_ORDER * first_count * n_pairs
-    cuts = np.searchsorted(elements.cumsum() - 0.5 * elements,
-                           plan.slab_elements * np.arange(k + 1) / k)
-    panels = np.concatenate(([0], (first_count * np.diff(plan.blocks)).cumsum()))
-    _on_every_cpu([partial(run, b0, b1, p) for b0, b1, p in
-                   zip(cuts[:-1].tolist(), cuts[1:].tolist(), panels[cuts].tolist()) if b1 > b0])
+    if plan.slab_elements < _SPLIT_ELEMENTS:
+        run(0, len(blocks) - 1)
+    else:  # each block weighs its slab elements
+        _on_every_cpu(run, _PANEL_ORDER * plan.counts[plan.blocks[:-1]] * np.diff(plan.block_pairs))
     return out[:-1]
 
 

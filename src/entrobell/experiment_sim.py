@@ -6,11 +6,12 @@ with a bootstrap error bar.  Detection is ideal: no loss, no dark noise,
 no phase jitter, matching the idealisation of the analytic pipeline.
 
 Shots are drawn and binned block by block on every CPU available to the
-process (_map_blocks): each CPU takes every k-th block, the caller one share
-and the kernel's kept workers (coarse_grain._on_every_cpu) the others, and
-each block writes its own slice of arrays the caller allocated.  A block's
-bits depend on the seed, the setting and the block alone, so the output does
-not depend on the CPU count.
+process (_map_blocks): the blocks are split into one contiguous run per CPU
+by the kernel's rule (coarse_grain._on_every_cpu), the caller making one run
+and the kernel's kept workers the others, and each block writes its own
+slice of arrays the caller allocated.  A block's bits depend on the seed,
+the setting and the block alone, so the output does not depend on the CPU
+count.
 
 Each count table spans the box of windows its shots reach, and most of
 that box is empty at fine bins.  The table is laid out once per request
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import AngleGeometry, _chained
-from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width, _cpu_count, _on_every_cpu
+from .coarse_grain import CELL_BUDGET, GridTooLarge, _check_bin_width, _on_every_cpu
 from .entropy import EntropyTerms, _dot
 from .gaussian_core import PhaseSettings, TmsvParams, coefficients
 
@@ -82,17 +83,13 @@ def _stream(seed: int, setting_index: int, block_index: int) -> np.random.Genera
 def _map_blocks(fn, n: int) -> list:
     """[fn(start, stop) for each _BLOCK-sized slice of range(n)], on the available CPUs.
 
-    Serial with one CPU or one block; otherwise the k = min(CPUs, blocks)
-    shares blocks[i::k] run through _on_every_cpu, which raises a share's
+    Each block weighs one unit in coarse_grain._on_every_cpu, which runs
+    on the caller alone with one CPU or one block and raises a run's
     exception here.
     """
     blocks = [(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
-    k = min(_cpu_count(), len(blocks))
-    if k <= 1:
-        return [fn(*block) for block in blocks]
-    done = _on_every_cpu([lambda i=i: [fn(*block) for block in blocks[i::k]]
-                          for i in range(k)])
-    return [done[j % k][j // k] for j in range(len(blocks))]
+    runs = _on_every_cpu(lambda i, j: [fn(*block) for block in blocks[i:j]], [1] * len(blocks))
+    return [done for run in runs for done in run]
 
 
 def sample_pairs(state: TmsvParams, phi_sum: float, n: int, seed: int,

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import (
     HEADLINE_D,
@@ -282,12 +283,12 @@ def test_nelder_mead_asks_only_for_points_in_the_box(monkeypatch):
     # Nelder-Mead clips the start, the simplex and every trial point first.
     # Here the best coarse points sit on the box's corner (0, 0).
     seen = []
-    nelder_mead = bell.optimize.minimize
+    nelder_mead = scipy.optimize.minimize
 
     def recording(fun, x0, **kwargs):
         return nelder_mead(lambda x: seen.append(np.array(x)) or fun(x), x0, **kwargs)
 
-    monkeypatch.setattr(bell.optimize, "minimize", recording)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
     res = minimize((0.0, 2.0), (0.0, math.pi), 6,
                    options=MinimizeOptions(coarse_points=6, refine_starts=2))
     assert (res.r_star, res.delta_star) == (0.0, 0.0)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -410,8 +411,12 @@ def test_integrate_does_not_depend_on_the_cpu_count(monkeypatch):
     # one CPU and four, more than this machine may have, switching threads as
     # often as the interpreter allows: the same bits, and the pass was split
     plan, shares, on_every_cpu = _split_plan(), [], coarse_grain._on_every_cpu
-    monkeypatch.setattr(coarse_grain, "_on_every_cpu",
-                        lambda fns: shares.append(len(fns)) or on_every_cpu(fns))
+
+    def recording(run, weights):
+        shares.append([])
+        return on_every_cpu(lambda i, j, runs=shares[-1]: runs.append(i) or run(i, j), weights)
+
+    monkeypatch.setattr(coarse_grain, "_on_every_cpu", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -422,7 +427,7 @@ def test_integrate_does_not_depend_on_the_cpu_count(monkeypatch):
             cells[len(cpus)] = coarse_grain._integrate(plan).tobytes()
     finally:
         sys.setswitchinterval(interval)
-    assert shares == [4]
+    assert [len(runs) for runs in shares] == [1, 4]
     assert cells[1] == cells[4]
 
 
@@ -447,26 +452,41 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     assert coarse_grain._integrate(plan).tobytes() == serial
 
 
-def test_worker_shares_run_under_the_callers_errstate():
-    def divide():
+def test_every_run_is_waited_for_when_the_callers_run_fails(monkeypatch):
+    def run(i, j):
+        if i == 0:
+            raise ValueError
+        time.sleep(0.05)
+        done.append(i)
+
+    done = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ValueError):
+        coarse_grain._on_every_cpu(run, [1, 1])
+    assert done == [1]
+
+
+def test_worker_shares_run_under_the_callers_errstate(monkeypatch):
+    def divide(i, j):
         return np.divide(1.0, np.zeros(1))
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):
-            coarse_grain._on_every_cpu([divide, divide])
+            coarse_grain._on_every_cpu(divide, [1, 1])
         with pytest.raises(FloatingPointError):
-            coarse_grain._on_every_cpu([lambda: None, divide])
+            coarse_grain._on_every_cpu(lambda i, j: i and divide(i, j), [1, 1])
     with np.errstate(divide="ignore"):
-        assert [s[0] for s in coarse_grain._on_every_cpu([divide] * 3)] == [np.inf] * 3
+        assert [s[0] for s in coarse_grain._on_every_cpu(divide, [1] * 3)] == [np.inf] * 3
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_split_passes():
     # the kept workers are threads of the parent alone; the child starts its own
     script = _SPLIT_PASS + """
-import sys, time
+import sys, threading, time
 want = split_pass()
-assert coarse_grain._workers
+assert threading.active_count() == 2
 pid = os.fork()
 if pid == 0:
     os._exit(0 if split_pass() == want else 1)
@@ -493,6 +513,9 @@ from entrobell.cli import main
 assert threading.active_count() == 1
 assert main(["eval", "--r", "0.5", "--delta", "0.5", "--Delta", "0.5", "--mutual-info",
              "--format", "json"]) == 0
+assert threading.active_count() == 1
+assert main(["sample", "--r", "1.817", "--delta-pi", "0.213", "--Delta", "6", "--n", "1000",
+             "--bootstrap", "20", "--seed", "1", "--format", "json"]) == 0
 assert threading.active_count() == 1
 split_pass()
 assert threading.active_count() == 4
@@ -822,7 +845,10 @@ def test_rectangle_route_takes_exact_one_minus_rho_on_the_ridge(r, delta):
     assert abs(bin_prob_2d(c, p.grid, l, l, method=RECTANGLE_CDF) - p.probs[i, i]) <= 1e-14
 
 
-# correlations 0.19, 0.73, 0.85, -0.91 and 0.994: each |rho| branch of bvn_upper
+# correlations 0.19, 0.73, 0.85, -0.91 and 0.994, weak to near 1 and of both
+# signs: Owen's identity forms a_h = (k - rho h) / (h sqrt(1 - rho^2)) over
+# a range that widens as |rho| nears 1, and every lattice has corners with h
+# and k of opposite sign, where it subtracts beta = 1/2
 @pytest.mark.parametrize("r, phi_sum, delta", [
     (0.1, 0.3, 0.5), (0.6, 0.5, 0.3), (1.0, 0.5, 2.0), (1.0, 2.8, 2.0), (2.0, 0.1, 3.0),
 ])
@@ -969,11 +995,14 @@ def test_bvn_upper_in_unit_interval(rho, h, k):
 
 
 # The scalar bvn_upper as it was before it took arrays, one row per
-# (h, k, rho, value): rho = 0; |rho| in (0, 0.3), [0.3, 0.75), [0.75, 0.925)
-# and [0.925, 1) of both signs; rho = +-1; rho < 0 with k > h after the
-# reflection k -> -k (the (0.3, -1.0) rows); and the cut-offs of the
-# high-|rho| branch, asr <= -100 at (-1, 2, 0.99) and -hk >= 100 at
-# (-8, 14, 0.95) and (-8, 14, 0.99).
+# (h, k, rho, value): a reference that shares nothing with Owen's T.  The
+# rows take each case of the Owen's T route: rho = 0, the exact product;
+# rho = +-1, the limits at 1 - |rho| = 0, and rho = +-0.9999999 beside them,
+# where sqrt(1 - rho^2) comes from 1 - |rho| alone; a zero h, where a_h is
+# infinite, at (0, 1, 0.95) and (0, 1, 0.99); h and k of equal and of
+# opposite sign (beta); correlations of both signs from 0.15 to 0.99, where
+# |a_h| and |a_k| reach about 20, and 6e3 beside rho = +-1; and deep tails,
+# at (6, 5.5), (-8, 14) and (-28, 27).
 BVN_UPPER_TABLE = [
     (0.3, -1.2, 0.0, 0.33812177116684866),
     (2.5, 2.5, 0.0, 3.85599434581464e-05),

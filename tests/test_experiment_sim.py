@@ -128,9 +128,10 @@ def test_blocks_on_four_cpus_match_the_serial_loop(monkeypatch, n, setting_index
     # as often as the interpreter allows
     shares, on_every_cpu = [], experiment_sim._on_every_cpu
 
-    def recording(fns):
-        shares.append(len(fns))
-        return on_every_cpu(fns)
+    def recording(run, weights):
+        shares.append([])
+        return on_every_cpu(lambda i, j, runs=shares[-1]: runs.append((i, j)) or run(i, j),
+                            weights)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(experiment_sim, "_on_every_cpu", recording)
@@ -143,7 +144,7 @@ def test_blocks_on_four_cpus_match_the_serial_loop(monkeypatch, n, setting_index
     finally:
         sys.setswitchinterval(interval)
     blocks = -(-n // experiment_sim._BLOCK)
-    assert shares == ([min(4, blocks)] * 5 if blocks > 1 else [])
+    assert [sorted(runs) for runs in shares] == [[(j, j + 1) for j in range(blocks)]] * 5
     pairs = _serial_pairs(state, phi_sum, n, 5, setting_index)
     assert np.array_equal(batch.pairs, pairs)
     for delta_bin, table in tables.items():
