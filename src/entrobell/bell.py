@@ -16,6 +16,13 @@ statistics.  This module evaluates the functional, scans it over parameter
 grids, and minimises it over (r, delta).  It only lists the phase sums each
 value reads; entropy._joint_terms decides which of them share a joint.
 
+minimize refines its coarse grid with a bounded Nelder-Mead of its own
+(_nelder_mead), which takes the steps of scipy's bit for bit, so no module
+of the package imports scipy.optimize.  Its starts run in lockstep: each
+round asks for the next points of every live start in one _d_qm_values
+call, so one kernel pass, and the best point is kept in the order of a
+sequential search.
+
 Where the grid has one bin per record (Delta >= 2 k sigma), every outcome
 is certain and each S_qm is exactly 0, so d_qm_value, scan, scan_zero_delta
 and minimize read d_qm = 0.0 there without building a joint (see
@@ -31,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -374,8 +382,9 @@ class MinimizeOptions:
     The coarse stage samples ``coarse_points`` values of r and of delta, plus
     16 log-spaced delta columns accumulating at the lower delta bound, where
     the landscape develops very sharp minima for large r.  Nelder-Mead then
-    refines from the ``refine_starts`` best coarse points.  The coarse grid
-    may hold at most _MAX_POINTS points.
+    refines from the ``refine_starts`` best coarse points, every start in
+    lockstep: a round evaluates the next 1 or 2 points of each live start in
+    one kernel pass.  The coarse grid may hold at most _MAX_POINTS points.
     """
 
     coarse_points: int = 48
@@ -426,17 +435,94 @@ def _coarse_deltas(lo: float, hi: float, n: int) -> np.ndarray:
     return linear
 
 
+def _nelder_mead(x0: np.ndarray, f0: float, lower: np.ndarray, upper: np.ndarray):
+    """Bounded Nelder-Mead from x0, as a generator of the points it needs next.
+
+    Each `yield` hands out a list of points, 2 at the start, 2 on a shrink
+    and 1 otherwise, and takes back their values in that order.  The search
+    returns (x, fun, nfev, success).  f0 is the value at x0, a point of the
+    box [lower, upper]: it is not asked for, but it counts in nfev.
+
+    The steps are those of scipy 1.17.1's _minimize_neldermead, bit for bit,
+    with the options minimize used to give it: rho = 1, chi = 2,
+    psi = sigma = 1/2; an initial simplex of x0 with each coordinate scaled
+    by 1 + 0.05 (or set to 0.00025 where it is 0), reflected into the box
+    where it passes the upper bound; the start, the simplex and every trial
+    point clipped to the box; xatol 1e-4, fatol 1e-5, at most 400
+    iterations and no cap on evaluations.  For the method see Lagarias et
+    al., SIAM J. Optim. 9, 112 (1998).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol, fatol, maxiter = 1e-4, 1e-5, 400
+    n = len(x0)
+    x0 = np.clip(x0, lower, upper)
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.array([f0, *(yield list(sim[1:].copy()))], dtype=float)
+    nfev = n + 1
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+        (fxr,) = yield [xr]
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+            (fxe,) = yield [xe]
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+                (fxc,) = yield [xc]
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                (fxc,) = yield [xc]
+                accept = fxc < fsim[-1]
+            nfev += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                fsim[1:] = yield list(sim[1:].copy())
+                nfev += n
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, iterations < maxiter
+
+
 def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
              delta_bin: float, tail_epsilon: float = DEFAULT_TAIL_EPSILON,
              options: MinimizeOptions = MinimizeOptions()) -> MinimizationResult:
     """Global minimum of d_qm over (r, delta) within bounds.
 
     Coarse grid enumeration followed by Nelder-Mead refinement from the
-    best cells.  Fully deterministic; if no simplex run converges within
-    budget the best point seen is still returned, flagged converged=False.
+    best cells (_nelder_mead), every start in lockstep: each round gathers
+    the points that every live start needs next into one _d_qm_values call,
+    on the calling thread.  A point's value does not depend on its batch,
+    and the best point is then kept by a strict < over each start's values
+    in the order of a sequential search, start 1's first, so the result is
+    that of running the starts one after the other.  Each start takes its
+    first value from the coarse stage.  Fully deterministic; if no simplex
+    run converges within budget the best point seen is still returned,
+    flagged converged=False.
     """
-    from scipy import optimize  # imported by its one user alone: it slows every start-up
-
     r_lo, r_hi = map(float, r_bounds)
     d_lo, d_hi = map(float, delta_bounds)
     if not (r_hi >= r_lo >= 0.0) or not (d_hi >= d_lo):
@@ -451,29 +537,34 @@ def minimize(r_bounds: tuple[float, float], delta_bounds: tuple[float, float],
     coarse_d_min = float(flat.min())
 
     order = np.argsort(flat, kind="stable")
-    best = {"x": jobs[int(order[0])], "f": float(flat[order[0]])}
-
-    def objective(x) -> float:
-        r, d = float(x[0]), float(x[1])  # Nelder-Mead clips every point into bounds
-        val = d_qm_value(TmsvParams(r), d, delta_bin, tail_epsilon)
-        if val < best["f"]:
-            best["x"], best["f"] = (r, d), val
-        return val
-
+    lower, upper = np.array([r_lo, d_lo]), np.array([r_hi, d_hi])
+    starts = [int(s) for s in order[: options.refine_starts]]
+    searches = [_nelder_mead(np.array(jobs[s]), float(flat[s]), lower, upper) for s in starts]
+    asked = {i: next(search) for i, search in enumerate(searches)}
+    seen = [[] for _ in starts]  # each start's (point, value), in its own order
     converged = False
-    for s in order[: options.refine_starts]:
-        x0 = np.array(jobs[int(s)])
-        res = optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            bounds=[(r_lo, r_hi), (d_lo, d_hi)],
-            options={"xatol": 1e-4, "fatol": 1e-5, "maxiter": 400, "disp": False},
-        )
-        n_evals += res.nfev
-        converged = converged or bool(res.success)
+    while asked:
+        values = iter(_d_qm_values([(float(x[0]), float(x[1])) for xs in asked.values() for x in xs],
+                                   delta_bin, tail_epsilon))
+        for i, xs in list(asked.items()):
+            got = [next(values) for _ in xs]
+            seen[i] += zip(xs, got)
+            try:
+                asked[i] = searches[i].send(got)
+            except StopIteration as done:
+                del asked[i]
+                *_, nfev, success = done.value
+                n_evals += nfev
+                converged = converged or success
 
-    r_star, delta_star = best["x"]
+    # x0's value is a coarse one, never below the coarse minimum, so the
+    # replay starts at each start's first point asked for
+    (r_star, delta_star), d_min = jobs[int(order[0])], float(flat[order[0]])
+    for x, value in chain.from_iterable(seen):
+        if value < d_min:
+            (r_star, delta_star), d_min = x, value
     return MinimizationResult(
-        r_star=float(r_star), delta_star=float(delta_star), d_min=float(best["f"]),
+        r_star=float(r_star), delta_star=float(delta_star), d_min=float(d_min),
         delta_bin=delta_bin, converged=converged, n_evaluations=n_evals,
         coarse_d_min=coarse_d_min, r_bounds=(r_lo, r_hi), delta_bounds=(d_lo, d_hi),
         tail_epsilon=tail_epsilon,

@@ -134,10 +134,13 @@ _MIN_CUT = 9.0
 # row is always alone in its block, and summed the same in every pass.
 _BLOCK_ELEMENTS = 1 << 15
 # A pass of at least this many slab elements is split into one run of blocks
-# per CPU (_integrate); a smaller one runs on the calling thread alone, as do
-# Nelder-Mead steps and bin_prob_2d.  On the benchmark's scan, minimize and
-# eval-fine requests, 1 << 15, 1 << 16 and 1 << 17 ran within 8 % of each
-# other (2 CPUs), in no consistent order.
+# per CPU (_integrate); a smaller one runs on the calling thread alone, as
+# does bin_prob_2d.  A Nelder-Mead round of minimize is one pass over the
+# next points of every live start: at the default 8 starts and r <= 2, 8 of
+# the 36 rounds at Delta = 1.5 and 24 of 38 at Delta = 1 reach this, and
+# none of the benchmark's minimize rounds does.  On the benchmark's scan,
+# minimize and eval-fine requests, 1 << 15, 1 << 16 and 1 << 17 ran within
+# 8 % of each other (2 CPUs), in no consistent order.
 _SPLIT_ELEMENTS = 1 << 16
 
 
@@ -291,8 +294,8 @@ def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D
 def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform Gauss-Legendre panels per window of each joint, with its correlation and sigma_c.
 
-    A window takes ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) panels,
-    checked against _MAX_PANELS on the full window.
+    A window takes ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) panels;
+    _panel_plan checks the panels each row then takes against _MAX_PANELS.
     """
     v, w, v_minus_w, v_plus_w = np.array([(c.v, c.w, c.v_minus_w, c.v_plus_w) for c in coeffs]).T
     rho, sc = w / v, 1.0 / np.sqrt(2.0 * v)
@@ -300,12 +303,6 @@ def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndar
     # 8 sigma_c/|rho| is NaN at rho = 0, where fmin takes sigma_a
     slab = _SLAB_RESOLUTION * sc / np.where(rho_abs > 0.0, rho_abs, np.nan)
     n_panels = np.ceil(4.0 * delta / np.fmin(np.sqrt(v / (2.0 * (v_minus_w * v_plus_w))), slab))
-    if n_panels.max() > _MAX_PANELS:
-        k = int(np.argmax(n_panels > _MAX_PANELS))
-        raise QuadratureBudgetExceeded(
-            f"window needs {int(n_panels[k])} panels, cap is {_MAX_PANELS} "
-            f"(delta={delta}, r={coeffs[k].r}, phi_sum={coeffs[k].phi_sum})"
-        )
     return n_panels, rho, sc
 
 
@@ -408,6 +405,9 @@ def _panel_plan(jobs) -> _PanelPlan:
     seg_lo, seg_pw = np.repeat(lo[:, None], 5, axis=1), np.repeat(pw[:, None], 5, axis=1)
     seg_n = np.zeros((len(windows), 5), dtype=int)
     seg_n[:, 1] = counts
+    # The panel cap reads a uniform row's full window, though only its
+    # clipped part is integrated, and the panels an edge-adapted row takes.
+    planned = n_panels.copy()
     cand = ((_SLAB_RESOLUTION * sc < np.abs(rho) * sa) & (width > 0)
             & (near_hi - near_lo < 2)).nonzero()[0]
     if cand.size:
@@ -425,6 +425,14 @@ def _panel_plan(jobs) -> _PanelPlan:
         rows = cand[take]
         seg_lo[rows], seg_pw[rows] = bounds[:-1, take].T, (length / np.maximum(n, 1.0))[:, take].T
         seg_n[rows], counts[rows] = n[:, take].T, total[take]
+        planned[rows] = total[take]
+    if planned.max() > _MAX_PANELS:  # before any panel is laid out
+        k = int(np.argmax(planned > _MAX_PANELS))
+        c = jobs[joint[k]][0]
+        raise QuadratureBudgetExceeded(
+            f"window needs {int(planned[k])} panels, cap is {_MAX_PANELS} "
+            f"(delta={delta}, r={c.r}, phi_sum={c.phi_sum})"
+        )
     # Block order; the panels of the rows in it, end to end.
     order = (last > s).nonzero()[0]
     order = order[np.argsort(counts[order], kind="stable")]

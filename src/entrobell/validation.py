@@ -103,8 +103,10 @@ def check_fock_oracle(quick: bool = False) -> CheckResult:
 def check_method_agreement(quick: bool = False) -> CheckResult:
     """Panel quadrature against the rectangle-CDF route, matrix against matrix.
 
-    The full suite adds two points on the ridge phi_sum = 0, at r = 6 and 8,
-    where the panels are sized by the conditional slab edge, not by sigma_a.
+    The full suite adds three points on the ridge phi_sum = 0, at r = 6, 8
+    and 10, where the panels are sized by the conditional slab edge, not by
+    sigma_a.  At (10, 0, 100) the uniform panels, over a million per window,
+    would pass the panel cap; the edge-adapted ones the kernel takes do not.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260817)
@@ -112,7 +114,7 @@ def check_method_agreement(quick: bool = False) -> CheckResult:
     draws = [(float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi)),
               float(np.exp(rng.uniform(np.log(0.5), np.log(100.0))))) for _ in range(n_sets)]
     if not quick:
-        draws += [(6.0, 0.0, 10.0), (8.0, 0.0, 30.0)]
+        draws += [(6.0, 0.0, 10.0), (8.0, 0.0, 30.0), (10.0, 0.0, 100.0)]
     worst = 0.0
     for r, ph, db in draws:
         state = TmsvParams(r)
@@ -123,7 +125,7 @@ def check_method_agreement(quick: bool = False) -> CheckResult:
     return _finish("method-cross-validation", t0, ok,
                    f"worst |panel - rectangle| = {worst:.2e} "
                    f"over {n_sets} parameter draws"
-                   + ("" if quick else " and 2 ridge points"))
+                   + ("" if quick else " and 3 ridge points"))
 
 
 def check_entropy_bounds(quick: bool = False) -> CheckResult:

@@ -279,20 +279,21 @@ def test_minimize_frozen():
 
 
 def test_nelder_mead_asks_only_for_points_in_the_box(monkeypatch):
-    # minimize's objective reads each simplex point as given: scipy's bounded
+    # minimize's objective reads each simplex point as given: the bounded
     # Nelder-Mead clips the start, the simplex and every trial point first.
     # Here the best coarse points sit on the box's corner (0, 0).
     seen = []
-    nelder_mead = scipy.optimize.minimize
+    values = bell._d_qm_values
 
-    def recording(fun, x0, **kwargs):
-        return nelder_mead(lambda x: seen.append(np.array(x)) or fun(x), x0, **kwargs)
+    def recording(points, *args):
+        seen.append(np.array(points))
+        return values(points, *args)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(bell, "_d_qm_values", recording)
     res = minimize((0.0, 2.0), (0.0, math.pi), 6,
                    options=MinimizeOptions(coarse_points=6, refine_starts=2))
     assert (res.r_star, res.delta_star) == (0.0, 0.0)
-    points = np.array(seen)
+    points = np.concatenate(seen[1:])  # the search's, after the coarse stage
     assert len(points) > 0
     assert np.all((points >= [0.0, 0.0]) & (points <= [2.0, math.pi]))
 
@@ -310,6 +311,121 @@ def test_minimize_soundness():
     payload = res.to_dict()
     assert payload["kind"] == "minimize"
     assert payload["delta_star_over_pi"] == pytest.approx(res.delta_star / math.pi)
+
+
+# The package's Nelder-Mead against scipy's, on cheap analytic objectives: the
+# same points asked for, in the same order, and the same result, bit for bit.
+NM_OPTIONS = {"xatol": 1e-4, "fatol": 1e-5, "maxiter": 400, "disp": False}
+BOX = ((0.0, 0.0), (2.0, math.pi))
+
+
+def _bowl(x):
+    return float((x[0] - 0.3) ** 2 + 2.0 * (x[1] - 0.7) ** 2)
+
+
+def _plateaus(x):
+    return float(math.floor(8.0 * x[0]) + math.floor(8.0 * x[1]))
+
+
+def _ramp(x):
+    return float(-x[0] - x[1])
+
+
+def _package_search(f, x0, lower, upper):
+    """The points bell._nelder_mead asks for, x0 first, each yield's size and its result."""
+    x0 = np.array(x0, dtype=float)
+    search = bell._nelder_mead(x0, f(x0), np.array(lower, dtype=float),
+                               np.array(upper, dtype=float))
+    asked, sizes = [x0], []
+    try:
+        xs = next(search)
+        while True:
+            asked += xs
+            sizes.append(len(xs))
+            xs = search.send([f(x) for x in xs])
+    except StopIteration as done:
+        return np.array(asked), sizes, done.value
+
+
+@pytest.mark.parametrize("f, x0, lower, upper", [
+    (_bowl, (0.0, 0.0), *BOX),                  # a box corner, both coordinates 0
+    (_bowl, (2.0, math.pi), *BOX),              # the upper corner
+    (_bowl, (0.0, 1.0), *BOX),                  # a zero coordinate: 0.00025, not 5 %
+    (_bowl, (2.0, 1.0), *BOX),                  # an upper bound: the vertex is reflected
+    (_plateaus, (0.2, 0.3), *BOX),              # failed contractions: shrinks
+    (_ramp, (1.0, 1.0), (0.0, 0.0), (1e300, 1e300)),  # expands until maxiter
+    (_bowl, (1.0, 2.0), (1.0, 0.0), (1.0, math.pi)),  # r_lo == r_hi
+    (_bowl, (1.5, 0.5), (0.0, 0.5), (2.0, 0.5)),      # delta_lo == delta_hi
+    (_bowl, (1.0, 0.5), (1.0, 0.5), (1.0, 0.5)),      # both
+], ids=["corner", "upper-corner", "zero", "upper-bound", "shrink", "maxiter",
+        "fixed-r", "fixed-delta", "fixed-both"])
+def test_nelder_mead_takes_scipys_steps(f, x0, lower, upper):
+    seen = []
+    want = scipy.optimize.minimize(lambda x: seen.append(np.array(x)) or f(x), np.array(x0),
+                                   method="Nelder-Mead", bounds=list(zip(lower, upper)),
+                                   options=NM_OPTIONS)
+    asked, sizes, (x, fun, nfev, success) = _package_search(f, x0, lower, upper)
+    assert asked.shape == (len(seen), 2) and asked.tobytes() == np.array(seen).tobytes()
+    assert x.tobytes() == want.x.tobytes()
+    assert (fun, nfev, success) == (want.fun, want.nfev, want.success)
+    # 2 points at the start, 2 on a shrink, 1 otherwise
+    assert sizes[0] == 2 and set(sizes[1:]) <= {1, 2}
+    assert (2 in sizes[1:]) == (f is _plateaus)
+    assert success == (f is not _ramp)
+
+
+@pytest.mark.parametrize("r_bounds, delta_bounds, n_evaluations, d_min", [
+    ((1.0, 1.0), (0.0, math.pi), 3272, 1.0579046186636565),
+    ((0.0, 2.0), (0.5, 0.5), 2496, 0.8410628345618372),
+    ((1.0, 1.0), (0.5, 0.5), 2328, 1.066949666182292),
+])
+def test_minimize_on_degenerate_boxes_is_frozen(r_bounds, delta_bounds, n_evaluations, d_min):
+    # bitwise, recorded with scipy's Nelder-Mead at the default 48 coarse
+    # points and 8 starts
+    res = minimize(r_bounds, delta_bounds, 1.5)
+    assert (res.n_evaluations, res.d_min, res.converged) == (n_evaluations, d_min, True)
+    assert r_bounds[0] <= res.r_star <= r_bounds[1]
+    assert delta_bounds[0] <= res.delta_star <= delta_bounds[1]
+
+
+def test_ties_between_starts_keep_the_sequential_searchs_point(monkeypatch):
+    # two wells with flat floors of exactly 0.0, each reached by its own
+    # start; start 2 reaches its floor in fewer rounds than start 1, so a
+    # best point kept in round order would be start 2's
+    wells, floors = ((0.4, 0.8), (1.6, 2.2)), []
+
+    def landscape(r, d):
+        value = max(min((r - a) ** 2 + (d - b) ** 2 for a, b in wells) - 0.05 ** 2, 0.0)
+        if value == 0.0:
+            floors.append((r, d))
+        return value
+
+    opts = MinimizeOptions(coarse_points=5, refine_starts=2)
+    r_bounds, delta_bounds = (0.0, 2.0), (0.0, math.pi)
+    # the search of the parent: each start run to its end through scipy, in
+    # turn, the best point kept by a strict < in the order of evaluation
+    jobs = [(r, d) for r in np.linspace(*r_bounds, opts.coarse_points)
+            for d in bell._coarse_deltas(*delta_bounds, opts.coarse_points)]
+    flat = np.array([landscape(r, d) for r, d in jobs])
+    order = np.argsort(flat, kind="stable")
+    best = [jobs[order[0]], float(flat[order[0]])]
+
+    def objective(x):
+        value = landscape(float(x[0]), float(x[1]))
+        if value < best[1]:
+            best[:] = (float(x[0]), float(x[1])), value
+        return value
+
+    for s in order[:opts.refine_starts]:
+        scipy.optimize.minimize(objective, np.array(jobs[s]), method="Nelder-Mead",
+                                bounds=[r_bounds, delta_bounds], options=NM_OPTIONS)
+    # both floors were reached, so the minimum is a tie between the starts
+    assert all(any(math.dist(p, well) <= 0.05 for p in floors) for well in wells)
+    monkeypatch.setattr(bell, "_d_qm_values", lambda points, delta_bin, tail_epsilon: [
+        landscape(r, d) for r, d in points])
+    res = minimize(r_bounds, delta_bounds, 1.0, options=opts)
+    assert (res.r_star, res.delta_star, res.d_min) == (*best[0], best[1]) \
+        == (0.4249999999999998, 0.7952156404399164, 0.0)
 
 
 # -- one kernel pass per request -------------------------------------------------
@@ -405,7 +521,15 @@ def test_zero_offset_scan_builds_each_joint_once_per_column(built):
     assert res.d_qm[0].tolist() == res.d_qm[2].tolist() == res.d_qm[3].tolist()
 
 
-def test_minimize_builds_each_coarse_joint_once(built):
+def test_minimize_builds_each_coarse_joint_once(built, monkeypatch):
+    searches = []
+    search = bell._nelder_mead
+
+    def recorded(*args):
+        searches.append((yield from search(*args)))
+        return searches[-1]
+
+    monkeypatch.setattr(bell, "_nelder_mead", recorded)
     res = minimize((0.0, 2.0), (0.0, math.pi), 6,
                    options=MinimizeOptions(coarse_points=6, refine_starts=2))
     d_grid = bell._coarse_deltas(0.0, math.pi, 6)
@@ -415,10 +539,12 @@ def test_minimize_builds_each_coarse_joint_once(built):
     assert sorted(_joint_key(r, phase) for r, phase in coarse) == sorted(wanted)
     assert len(coarse) == len(wanted)
     assert len(coarse) < 2 * 6 * len(d_grid)
-    # each simplex step is one d_qm value, a batch of at most two joints;
-    # n_evaluations counts the d_qm values asked for, not the joints built
-    assert all(1 <= len(step) <= 2 for step in steps)
-    assert res.n_evaluations == 6 * len(d_grid) + len(steps) == 144
+    # each step batch holds the points of every live start, at most two per
+    # start and two joints per point; n_evaluations counts the d_qm values
+    # the searches asked for, their start points included, not the joints built
+    assert all(1 <= len(step) <= 2 * 2 * 2 for step in steps)
+    assert len(searches) == 2
+    assert res.n_evaluations == 6 * len(d_grid) + sum(nfev for *_, nfev, _ in searches) == 144
 
 
 @pytest.fixture

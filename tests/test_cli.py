@@ -240,15 +240,15 @@ def test_validate_quick_passes(tmp_path):
 
 
 def test_validate_full_passes(tmp_path):
-    # the full suite, with its larger samples and the two ridge points of the
-    # method check
+    # the full suite, with its larger samples and the three ridge points of
+    # the method check
     payload = run_json(["validate"], tmp_path)
     assert payload["quick"] is False
     assert len(payload["checks"]) == 8
     assert all(check["passed"] for check in payload["checks"])
     assert payload["failed"] == []
     (method,) = [c for c in payload["checks"] if c["name"] == "method-cross-validation"]
-    assert method["detail"].endswith("over 20 parameter draws and 2 ridge points")
+    assert method["detail"].endswith("over 20 parameter draws and 3 ridge points")
 
 
 def test_validate_perturbed_norm_fails(tmp_path, capsys, monkeypatch):
@@ -520,13 +520,23 @@ def test_extreme_squeezing_exits_3(argv, capsys):
 def test_one_bin_ridge_is_an_exact_zero_where_its_joint_exceeds_the_panel_cap(
         argv, key, tmp_path, capsys):
     # at Delta = 3000 every grid of r <= 6 has one bin, so d_qm is exactly 0
-    # and scan and minimize build no joint; eval reads the joint's cells, and
-    # its uniform panels at r = 6 on the ridge exceed the panel cap
+    # and scan and minimize build no joint; eval reads the joint's cells.  Its
+    # uniform panels at r = 6 on the ridge would exceed the panel cap (605144),
+    # but the row takes 70 edge-adapted ones, and the cap reads those
     payload = run_json(argv, tmp_path)
     assert np.ravel(payload[key]).tolist() in ([0.0], [0.0, 0.0])
-    assert exit_code(["eval", "--r", "6", "--delta", "0", "--Delta", "3000"]) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("entrobell: numeric failure: window needs 605144 panels")
+    payload = run_json(["eval", "--r", "6", "--delta", "0", "--Delta", "3000"], tmp_path)
+    assert (payload["grid_l_max"], payload["d_qm"]) == (0, 0.0)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("r, delta_bin, l_max", [("10", "100", 796), ("9", "60", 488)])
+def test_ridge_eval_under_the_panel_cap_of_its_adapted_rows(r, delta_bin, l_max, tmp_path):
+    # over a million uniform panels per window at r = 10, 243093 at r = 9;
+    # every row takes 11 edge-adapted ones
+    payload = run_json(["eval", "--r", r, "--delta", "0", "--Delta", delta_bin], tmp_path)
+    assert payload["grid_l_max"] == l_max
+    assert 0.0 <= payload["d_qm"] < 1e-4
 
 
 @pytest.mark.parametrize("argv", [
@@ -741,3 +751,25 @@ def test_kernel_output_does_not_depend_on_the_cpu_count(argv):
     (one, code_one), (all_, code_all) = ((run.communicate()[0], run.returncode) for run in runs)
     assert code_one == code_all == 0
     assert one == all_
+
+
+def test_no_command_imports_scipy_optimize():
+    # the package's one minimiser is its own, so no command loads
+    # scipy.optimize, nor the scipy.linalg it pulls in
+    env = dict(os.environ, PYTHONPATH=str(Path(entrobell.__file__).parents[1]))
+    code = """if True:
+        import contextlib, io, sys
+        from entrobell.cli import main
+        for argv in (["minimize", "--Delta", "3.5", "--coarse-points", "4", "--refine-starts", "2"],
+                     ["scan", "--Delta", "2", "--r-points", "2", "--delta-points", "2"],
+                     ["eval", "--r", "1", "--delta", "0.5", "--Delta", "1"],
+                     ["sample", "--r", "1", "--delta", "0.5", "--Delta", "1", "--n", "1000"],
+                     ["validate", "--quick"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        print("scipy.optimize" in sys.modules)
+    """
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

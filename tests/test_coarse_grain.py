@@ -213,6 +213,28 @@ def test_quadrature_budget_error(monkeypatch):
         == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("r, delta, uniform, adapted", [
+    (10.0, 100.0, 1101324, 11), (9.0, 60.0, 243093, 11), (6.0, 3000.0, 605144, 70),
+])
+def test_panel_cap_applies_to_the_panels_a_row_takes(monkeypatch, r, delta, uniform, adapted):
+    # on the ridge every window would take more uniform panels than the cap,
+    # but every row takes edge-adapted ones, and the cap is checked on those
+    state = TmsvParams(r)
+    c = coefficients(state, PhaseSettings(0.0, 0.0))
+    assert coarse_grain._panel_counts(delta, [c])[0][0] == uniform > coarse_grain._MAX_PANELS
+    joint = binned_joint(state, 0.0, delta)
+    marginal = bin_prob_1d(state, joint.grid, np.arange(-joint.grid.l_max, joint.grid.l_max + 1))
+    assert np.max(np.abs(joint.probs.sum(axis=1) - marginal)) <= 1e-14
+    # a row whose planned panels still pass the cap is refused before any
+    # slab is evaluated
+    slabs = []
+    monkeypatch.setattr(coarse_grain, "_normal_slabs", lambda z: slabs.append(z) or z)
+    monkeypatch.setattr(coarse_grain, "_MAX_PANELS", adapted - 1)
+    with pytest.raises(QuadratureBudgetExceeded, match=f"window needs {adapted} panels, cap is"):
+        binned_joint(state, 0.0, delta)
+    assert slabs == []
+
+
 def test_unknown_method_rejected():
     state = TmsvParams(1.0)
     grid = make_grid(state, 2.0)
