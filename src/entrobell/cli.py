@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,20 +40,6 @@ from .validation import run_checks
 # ArithmeticError: overflow or division by zero in float arithmetic at extreme squeezing
 _NUMERIC_ERRORS = (GridTooLarge, QuadratureBudgetExceeded, TruncationNotConverged,
                    InvalidDistribution, ArithmeticError)
-
-
-@contextmanager
-def _sink(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-def _emit_json(payload: dict, args) -> None:
-    with _sink(args.output) as fh:
-        write_json(payload, fh)
 
 
 def _add_common(parser, formats: tuple[str, ...], tail_epsilon: bool = True) -> None:
@@ -86,18 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate d_qm at one parameter point")
     p_eval.add_argument("--r", type=float, required=True, help="squeezing parameter")
-    offset = p_eval.add_mutually_exclusive_group(required=True)
-    offset.add_argument("--delta", type=float, help="angle offset, radians")
-    offset.add_argument("--delta-pi", type=float, help="angle offset in units of pi")
-    p_eval.add_argument("--Delta", type=float, required=True, dest="delta_bin",
-                        help="bin width")
-    p_eval.add_argument("--theta", type=float, default=0.0,
-                        help="free base angle (result is invariant)")
-    p_eval.add_argument("--mutual-info", action="store_true",
-                        help="also report the mutual-information margin")
-    p_eval.add_argument("--dump-dist", default=None, metavar="PREFIX",
-                        help="dump the four binned joints to PREFIX.<pair>.csv")
-    _add_common(p_eval, ("text", "json", "csv"))
 
     p_scan = sub.add_parser("scan", help="dense d_qm grid at fixed bin width")
     p_scan.add_argument("--Delta", type=float, required=True, dest="delta_bin")
@@ -133,10 +106,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
     p_shots.add_argument("--phi-sum", type=float, required=True, help="phase sum of the pair")
     _add_common(p_shots, ("csv",), tail_epsilon=False)
-    offset = p_sam.add_mutually_exclusive_group(required=True)
-    offset.add_argument("--delta", type=float)
-    offset.add_argument("--delta-pi", type=float)
-    p_sam.add_argument("--Delta", type=float, required=True, dest="delta_bin")
+    # eval and sample take the angle offset and the bin width alike
+    for p in (p_eval, p_sam):
+        offset = p.add_mutually_exclusive_group(required=True)
+        offset.add_argument("--delta", type=float, help="angle offset, radians")
+        offset.add_argument("--delta-pi", type=float, help="angle offset in units of pi")
+        p.add_argument("--Delta", type=float, required=True, dest="delta_bin", help="bin width")
+    p_eval.add_argument("--theta", type=float, default=0.0,
+                        help="free base angle (result is invariant)")
+    p_eval.add_argument("--mutual-info", action="store_true",
+                        help="also report the mutual-information margin")
+    p_eval.add_argument("--dump-dist", default=None, metavar="PREFIX",
+                        help="dump the four binned joints to PREFIX.<pair>.csv")
+    _add_common(p_eval, ("text", "json", "csv"))
     p_sam.add_argument("--no-miller-madow", action="store_true",
                        help="disable the entropy bias correction")
     p_sam.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP,
@@ -222,8 +204,13 @@ def _apply_config(parser, argv):
 _PAIR_TAGS = ("ab_prime", "aprime_bprime", "aprime_b", "ab")
 
 
-def _cmd_eval(args, parser) -> int:
-    delta = args.delta if args.delta_pi is None else args.delta_pi * math.pi
+def _delta(args) -> float:
+    """The angle offset in radians, given by --delta or --delta-pi."""
+    return args.delta if args.delta_pi is None else args.delta_pi * math.pi
+
+
+def _cmd_eval(args, parser):
+    delta = _delta(args)
     g = AngleGeometry(delta=delta, theta=args.theta)
     # the dumps are the four joints that the evaluation was computed from
     joints = None if args.dump_dist is None else []
@@ -235,33 +222,31 @@ def _cmd_eval(args, parser) -> int:
     payload = ev.to_dict()
     if args.mutual_info:
         payload["mutual_info_margin"] = ev.mutual_info_margin
-
     if args.format == "json":
-        _emit_json(payload, args)
-    elif args.format == "csv":
-        with _sink(args.output) as fh:
-            _write_scan_csv(fh, [(ev.r, delta, ev.delta_bin, ev.d_qm)])
-    else:
-        with _sink(args.output) as fh:
-            verdict = "violation" if ev.d_qm < 0 else "no violation"
-            fh.write(f"r          = {ev.r:g}\n")
-            fh.write(f"delta      = {delta:.10g}  ({delta / math.pi:.6g} pi)\n")
-            fh.write(f"Delta      = {ev.delta_bin:g}\n")
-            fh.write(f"theta      = {ev.theta:g}\n")
-            fh.write(f"d_qm       = {ev.d_qm:.10f}  ({verdict})\n")
-            fh.write(f"S(A|B')    = {ev.term_a_given_bprime:.10f}\n")
-            fh.write(f"S(B'|A')   = {ev.term_bprime_given_aprime:.10f}\n")
-            fh.write(f"S(A'|B)    = {ev.term_aprime_given_b:.10f}\n")
-            fh.write(f"S(A|B)     = {ev.term_a_given_b:.10f}\n")
-            if args.mutual_info:
-                fh.write(f"MI margin  = {payload['mutual_info_margin']:.10f}\n")
-            n_bins = 2 * ev.grid_l_max + 1
-            fh.write(f"grid       = L {ev.grid_l_max} ({n_bins}x{n_bins} bins), "
-                     f"tail epsilon {ev.tail_epsilon:g}\n")
-    return 0
+        return payload
+    if args.format == "csv":
+        return lambda fh: _write_scan_csv(fh, [(ev.r, delta, ev.delta_bin, ev.d_qm)])
+
+    def write_text(fh) -> None:
+        verdict = "violation" if ev.d_qm < 0 else "no violation"
+        fh.write(f"r          = {ev.r:g}\n")
+        fh.write(f"delta      = {delta:.10g}  ({delta / math.pi:.6g} pi)\n")
+        fh.write(f"Delta      = {ev.delta_bin:g}\n")
+        fh.write(f"theta      = {ev.theta:g}\n")
+        fh.write(f"d_qm       = {ev.d_qm:.10f}  ({verdict})\n")
+        fh.write(f"S(A|B')    = {ev.term_a_given_bprime:.10f}\n")
+        fh.write(f"S(B'|A')   = {ev.term_bprime_given_aprime:.10f}\n")
+        fh.write(f"S(A'|B)    = {ev.term_aprime_given_b:.10f}\n")
+        fh.write(f"S(A|B)     = {ev.term_a_given_b:.10f}\n")
+        if args.mutual_info:
+            fh.write(f"MI margin  = {payload['mutual_info_margin']:.10f}\n")
+        n_bins = 2 * ev.grid_l_max + 1
+        fh.write(f"grid       = L {ev.grid_l_max} ({n_bins}x{n_bins} bins), "
+                 f"tail epsilon {ev.tail_epsilon:g}\n")
+    return write_text
 
 
-def _cmd_scan(args, parser) -> int:
+def _cmd_scan(args, parser):
     r_lo, r_hi = args.r_range
     d_lo, d_hi = args.delta_range
     if args.r_points < 1 or args.delta_points < 1 or r_hi < r_lo or d_hi < d_lo:
@@ -272,96 +257,85 @@ def _cmd_scan(args, parser) -> int:
         args.delta_bin, args.tail_epsilon,
     )
     if args.format == "json":
-        _emit_json(res.to_dict(), args)
-    elif args.format == "csv":
-        with _sink(args.output) as fh:
-            res.to_csv(fh)
-    else:
-        d_min, r_at, d_at = res.min_entry()
-        with _sink(args.output) as fh:
-            fh.write(f"scan: {args.r_points} r values x {args.delta_points} "
-                     f"delta values at Delta = {args.delta_bin:g}\n")
-            fh.write(f"grid minimum d_qm = {d_min:.10f} at r = {r_at:.6g}, "
-                     f"delta = {d_at:.6g} ({d_at / math.pi:.6g} pi)\n")
-            fh.write("use --format csv or json for the full matrix\n")
-    return 0
+        return res.to_dict()
+    if args.format == "csv":
+        return res.to_csv
+    d_min, r_at, d_at = res.min_entry()
+
+    def write_text(fh) -> None:
+        fh.write(f"scan: {args.r_points} r values x {args.delta_points} "
+                 f"delta values at Delta = {args.delta_bin:g}\n")
+        fh.write(f"grid minimum d_qm = {d_min:.10f} at r = {r_at:.6g}, "
+                 f"delta = {d_at:.6g} ({d_at / math.pi:.6g} pi)\n")
+        fh.write("use --format csv or json for the full matrix\n")
+    return write_text
 
 
-def _cmd_minimize(args, parser) -> int:
+def _cmd_minimize(args, parser):
     res = minimize(args.r_range, args.delta_range, args.delta_bin, args.tail_epsilon,
                    options=MinimizeOptions(args.coarse_points, args.refine_starts))
     if args.format == "json":
-        _emit_json(res.to_dict(), args)
-    else:
-        with _sink(args.output) as fh:
-            fh.write(f"d_min      = {res.d_min:.10f}\n")
-            fh.write(f"r*         = {res.r_star:.6f}\n")
-            fh.write(f"delta*     = {res.delta_star:.6f}  "
-                     f"({res.delta_star / math.pi:.6g} pi)\n")
-            fh.write(f"Delta      = {res.delta_bin:g}\n")
-            fh.write(f"converged  = {res.converged}  "
-                     f"({res.n_evaluations} evaluations)\n")
-    return 0
+        return res.to_dict()
+
+    def write_text(fh) -> None:
+        fh.write(f"d_min      = {res.d_min:.10f}\n")
+        fh.write(f"r*         = {res.r_star:.6f}\n")
+        fh.write(f"delta*     = {res.delta_star:.6f}  "
+                 f"({res.delta_star / math.pi:.6g} pi)\n")
+        fh.write(f"Delta      = {res.delta_bin:g}\n")
+        fh.write(f"converged  = {res.converged}  "
+                 f"({res.n_evaluations} evaluations)\n")
+    return write_text
 
 
-def _cmd_validate(args, parser) -> int:
+def _cmd_validate(args, parser):
     results = run_checks(quick=args.quick)
     failed = [res.name for res in results if not res.passed]
-    with _sink(args.output) as fh:
-        if args.format == "json":
-            write_json({
-                "version": __version__,
-                "quick": args.quick,
-                "checks": [res.__dict__ for res in results],
-                "failed": failed,
-            }, fh)
-        else:
-            for res in results:
-                mark = "PASS" if res.passed else "FAIL"
-                fh.write(f"[{mark}] {res.name} ({res.seconds:.2f} s): {res.detail}\n")
-            fh.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
-    if failed:
-        print("failed checks: " + ", ".join(failed), file=sys.stderr)
-        return 1
-    return 0
+    if args.format == "json":
+        return {
+            "version": __version__,
+            "quick": args.quick,
+            "checks": [res.__dict__ for res in results],
+            "failed": failed,
+        }, failed
+
+    def write_text(fh) -> None:
+        for res in results:
+            mark = "PASS" if res.passed else "FAIL"
+            fh.write(f"[{mark}] {res.name} ({res.seconds:.2f} s): {res.detail}\n")
+        fh.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
+    return write_text, failed
 
 
-def _cmd_sample(args, parser) -> int:
-    delta = args.delta if args.delta_pi is None else args.delta_pi * math.pi
+def _cmd_sample(args, parser):
+    delta = _delta(args)
     estimate, err = empirical_d_qm(
         TmsvParams(args.r), AngleGeometry(delta=delta), args.delta_bin, args.n, args.seed,
         miller_madow=not args.no_miller_madow, n_bootstrap=args.bootstrap,
     )
-    payload = {
-        "version": __version__,
-        "kind": "sample",
-        "r": args.r,
-        "delta": delta,
-        "Delta": args.delta_bin,
-        "n_per_setting": args.n,
-        "seed": args.seed,
-        "miller_madow": not args.no_miller_madow,
-        "bootstrap": args.bootstrap,
-        "d_qm_estimate": estimate,
-        "std_error": err,
-    }
     if args.format == "json":
-        _emit_json(payload, args)
-    else:
-        with _sink(args.output) as fh:
-            fh.write(f"d_qm estimate = {estimate:.6f} +/- {err:.6f} "
-                     f"({args.n} shots per setting, seed {args.seed})\n")
-    return 0
+        return {
+            "version": __version__,
+            "kind": "sample",
+            "r": args.r,
+            "delta": delta,
+            "Delta": args.delta_bin,
+            "n_per_setting": args.n,
+            "seed": args.seed,
+            "miller_madow": not args.no_miller_madow,
+            "bootstrap": args.bootstrap,
+            "d_qm_estimate": estimate,
+            "std_error": err,
+        }
+    return lambda fh: fh.write(f"d_qm estimate = {estimate:.6f} +/- {err:.6f} "
+                               f"({args.n} shots per setting, seed {args.seed})\n")
 
 
-def _cmd_shots(args, parser) -> int:
-    batch = sample_pairs(TmsvParams(args.r), args.phi_sum, args.n, args.seed)
-    with _sink(args.output) as fh:
-        batch.to_csv(fh)
-    return 0
+def _cmd_shots(args, parser):
+    return sample_pairs(TmsvParams(args.r), args.phi_sum, args.n, args.seed).to_csv
 
 
-def _cmd_fig1(args, parser) -> int:
+def _cmd_fig1(args, parser):
     if args.r_points < 1 or args.delta_points < 1:
         parser.error("figure point counts must be positive")
     r_lo, r_hi = args.r_range
@@ -369,18 +343,15 @@ def _cmd_fig1(args, parser) -> int:
     d_values = np.linspace(0.0, math.pi, args.delta_points)
     results = [scan(r_values, d_values, db, args.tail_epsilon) for db in args.delta_bins]
     if args.format == "json":
-        _emit_json({
+        return {
             "version": __version__,
             "kind": "fig1",
             "panels": [res.to_dict() for res in results],
-        }, args)
-    else:
-        with _sink(args.output) as fh:
-            _write_scan_csv(fh, (row for res in results for row in res._csv_rows()))
-    return 0
+        }
+    return lambda fh: _write_scan_csv(fh, (row for res in results for row in res._csv_rows()))
 
 
-def _cmd_fig2(args, parser) -> int:
+def _cmd_fig2(args, parser):
     if args.r_points < 1 or args.delta_bin_points < 1:
         parser.error("figure point counts must be positive")
     (r_lo, r_hi), (db_lo, db_hi) = args.r_range, args.delta_bin_range
@@ -389,14 +360,12 @@ def _cmd_fig2(args, parser) -> int:
         np.linspace(db_lo, db_hi, args.delta_bin_points),
         args.tail_epsilon,
     )
-    if args.format == "json":
-        _emit_json(res.to_dict(), args)
-    else:
-        with _sink(args.output) as fh:
-            res.to_csv(fh)
-    return 0
+    return res.to_dict() if args.format == "json" else res.to_csv
 
 
+# Each handler computes its result and returns what main writes: a JSON
+# payload, or a function that writes the text or CSV to an open file.
+# validate hands back its failed check names too.
 _DISPATCH = {
     "eval": _cmd_eval,
     "scan": _cmd_scan,
@@ -413,7 +382,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
     try:
-        return _DISPATCH[args.command](args, parser.subparser_map[args.command])
+        out = _DISPATCH[args.command](args, parser.subparser_map[args.command])
+        out, failed = out if isinstance(out, tuple) else (out, [])
+        write = functools.partial(write_json, out) if isinstance(out, dict) else out
+        # --output is opened only now, so a failed command creates or truncates no file
+        if args.output is None or args.output == "-":
+            write(sys.stdout)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                write(fh)
     except _NUMERIC_ERRORS as exc:
         print(f"entrobell: numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -423,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"entrobell: cannot write output: {exc}", file=sys.stderr)
         return 2
+    if failed:
+        print("failed checks: " + ", ".join(failed), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -297,12 +297,12 @@ def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndar
     A window takes ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) panels;
     _panel_plan checks the panels each row then takes against _MAX_PANELS.
     """
-    v, w, v_minus_w, v_plus_w = np.array([(c.v, c.w, c.v_minus_w, c.v_plus_w) for c in coeffs]).T
-    rho, sc = w / v, 1.0 / np.sqrt(2.0 * v)
+    rho, sc, sa = np.array([(c.correlation, c.sigma_conditional, c.sigma_marginal)
+                            for c in coeffs]).T
     rho_abs = np.abs(rho)
     # 8 sigma_c/|rho| is NaN at rho = 0, where fmin takes sigma_a
     slab = _SLAB_RESOLUTION * sc / np.where(rho_abs > 0.0, rho_abs, np.nan)
-    n_panels = np.ceil(4.0 * delta / np.fmin(np.sqrt(v / (2.0 * (v_minus_w * v_plus_w))), slab))
+    n_panels = np.ceil(4.0 * delta / np.fmin(sa, slab))
     return n_panels, rho, sc
 
 

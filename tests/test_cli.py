@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -418,8 +419,13 @@ def test_surface_covers_every_subcommand():
     assert {_leaf(argv) for argv, _ in SURFACE} == set(_build_parser().subparser_map)
 
 
+def _untimed(output: bytes) -> bytes:
+    """The output without validate's per-check timings, which differ between runs."""
+    return re.sub(rb'\(\d+\.\d\d s\)|"seconds": [^,\n}]+', b"", output)
+
+
 @pytest.mark.parametrize("argv,formats", SURFACE, ids=[_leaf(a) for a, _ in SURFACE])
-def test_each_offered_format_writes_its_own_output(argv, formats, tmp_path):
+def test_each_offered_format_writes_its_own_output(argv, formats, tmp_path, capsys):
     leaf = _build_parser().subparser_map[_leaf(argv)]
     (action,) = [a for a in leaf._actions if "--format" in a.option_strings]
     assert tuple(action.choices) == formats
@@ -429,7 +435,24 @@ def test_each_offered_format_writes_its_own_output(argv, formats, tmp_path):
         out = tmp_path / f"out.{fmt}"
         assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
         written[fmt] = out.read_bytes()
+        # standard output gets the same bytes
+        assert main(argv + ["--format", fmt]) == 0
+        assert _untimed(capsys.readouterr().out.encode()) == _untimed(written[fmt])
     assert len(set(written.values())) == len(formats)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--r", "400", "--delta", "0.5", "--Delta", "1"], 3),
+    (["scan", "--Delta", "1", "--r-points", "0"], 2),
+], ids=["eval-exit-3", "scan-exit-2"])
+def test_a_failing_command_leaves_its_output_untouched(argv, code, tmp_path):
+    # the output is written only after the result is computed
+    missing, existing = tmp_path / "missing.txt", tmp_path / "existing.txt"
+    existing.write_bytes(b"kept\n")
+    for path in (missing, existing):
+        assert exit_code(argv + ["--output", str(path)]) == code
+    assert not missing.exists()
+    assert existing.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("argv", [
