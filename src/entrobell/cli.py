@@ -73,21 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--r", type=float, required=True, help="squeezing parameter")
 
     p_scan = sub.add_parser("scan", help="dense d_qm grid at fixed bin width")
-    p_scan.add_argument("--Delta", type=float, required=True, dest="delta_bin")
-    p_scan.add_argument("--r-range", type=float, nargs=2, default=(0.0, 2.0),
-                        metavar=("LO", "HI"))
+    p_min = sub.add_parser("minimize", help="search the (r, delta) box for the minimum")
+    # scan and minimize take the (r, delta) box and the bin width alike
+    for p in (p_scan, p_min):
+        p.add_argument("--Delta", type=float, required=True, dest="delta_bin", help="bin width")
+        p.add_argument("--r-range", type=float, nargs=2, default=(0.0, 2.0), metavar=("LO", "HI"))
+        p.add_argument("--delta-range", type=float, nargs=2, default=(0.0, math.pi),
+                       metavar=("LO", "HI"))
     p_scan.add_argument("--r-points", type=int, default=41)
-    p_scan.add_argument("--delta-range", type=float, nargs=2, default=(0.0, math.pi),
-                        metavar=("LO", "HI"))
     p_scan.add_argument("--delta-points", type=int, default=65)
     _add_common(p_scan, ("text", "json", "csv"))
 
-    p_min = sub.add_parser("minimize", help="search the (r, delta) box for the minimum")
-    p_min.add_argument("--Delta", type=float, required=True, dest="delta_bin")
-    p_min.add_argument("--r-range", type=float, nargs=2, default=(0.0, 2.0),
-                       metavar=("LO", "HI"))
-    p_min.add_argument("--delta-range", type=float, nargs=2, default=(0.0, math.pi),
-                       metavar=("LO", "HI"))
     p_min.add_argument("--coarse-points", type=int, default=48,
                        help="coarse grid points per axis")
     p_min.add_argument("--refine-starts", type=int, default=8)

@@ -236,8 +236,8 @@ def make_grid(state: TmsvParams, delta: float,
     each record keeps less than tail_epsilon/2 of two-sided mass outside
     +-k sigma, and l_max is the smallest integer with
     (l_max + 1/2) delta >= k sigma.  A tail_epsilon outside (0, 1e-6], or
-    too small for a finite k, raises ValueError; more than CELL_BUDGET cells
-    raise GridTooLarge.
+    too small for a finite k, raises ValueError; more than CELL_BUDGET cells,
+    or a bin width so small that l_max is not finite, raise GridTooLarge.
     """
     _check_bin_width(delta)
     if not (0.0 < tail_epsilon <= 1e-6):
@@ -246,8 +246,11 @@ def make_grid(state: TmsvParams, delta: float,
     if not math.isfinite(k):  # tail_epsilon / 2 is 0 or the smallest subnormal
         raise ValueError(f"tail_epsilon {tail_epsilon} is too small: its coverage multiple "
                          "is not finite")
-    sigma_max = state.marginal_sigma
-    l_max = max(0, math.ceil(k * sigma_max / delta - 0.5))
+    reach = k * state.marginal_sigma / delta - 0.5  # in bins
+    if not math.isfinite(reach):  # k sigma / delta overflowed
+        raise GridTooLarge(f"bin width {delta} gives no finite grid "
+                           f"(r={state.r}, tail_epsilon={tail_epsilon})")
+    l_max = max(0, math.ceil(reach))
     n = 2 * l_max + 1
     if n * n > CELL_BUDGET:
         raise GridTooLarge(
@@ -291,19 +294,20 @@ def binned_marginal(state: TmsvParams, grid: CoarseGrid) -> BinnedDistribution1D
     return BinnedDistribution1D(probs=probs, grid=grid, r=state.r)
 
 
-def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform Gauss-Legendre panels per window of each joint, with its correlation and sigma_c.
+def _panel_counts(delta: float, coeffs) -> tuple[np.ndarray, ...]:
+    """Uniform Gauss-Legendre panels per window of each joint, with its rho, sigma_c and cosh 2r.
 
-    A window takes ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) panels;
+    A window takes ceil(4 Delta / min(sigma_a, 8 sigma_c/|rho|)) panels,
+    with sigma_a = sqrt(cosh(2r) / 2) as in the rest of the plan;
     _panel_plan checks the panels each row then takes against _MAX_PANELS.
     """
-    rho, sc, sa = np.array([(c.correlation, c.sigma_conditional, c.sigma_marginal)
-                            for c in coeffs]).T
+    rho, sc, c2r = np.array([(c.correlation, c.sigma_conditional, math.cosh(2.0 * c.r))
+                             for c in coeffs]).T
     rho_abs = np.abs(rho)
     # 8 sigma_c/|rho| is NaN at rho = 0, where fmin takes sigma_a
     slab = _SLAB_RESOLUTION * sc / np.where(rho_abs > 0.0, rho_abs, np.nan)
-    n_panels = np.ceil(4.0 * delta / np.fmin(sa, slab))
-    return n_panels, rho, sc
+    n_panels = np.ceil(4.0 * delta / np.fmin(np.sqrt(0.5 * c2r), slab))
+    return n_panels, rho, sc, c2r
 
 
 def _wedge(l: int, m: int) -> tuple[int, int]:
@@ -361,8 +365,7 @@ def _panel_plan(jobs) -> _PanelPlan:
     delta, cut = grid.delta, max(_MIN_CUT, _coverage_multiple(grid.tail_epsilon))
     x1 = _GL16[0] + 1.0
     # per joint: panel count, correlation, sigma_c, cosh 2r, l_max and rows
-    n_panels, rho, sc = _panel_counts(delta, [c for c, _, _ in jobs])
-    c2r = np.array([math.cosh(2.0 * c.r) for c, _, _ in jobs])
+    n_panels, rho, sc, c2r = _panel_counts(delta, [c for c, _, _ in jobs])
     lmax, n_rows = np.array([(grid.l_max, len(windows)) for _, grid, windows in jobs]).T
     # the edge tables of the joints, end to end: grid.edges() / sigma_c
     n_edges = 2 * lmax + 2

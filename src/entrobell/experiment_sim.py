@@ -132,7 +132,8 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
 
     Windows are centred at integer multiples of delta_bin, exactly as in
     the analytic pipeline; the table spans the smallest index box holding
-    every shot.  A box of more than CELL_BUDGET cells raises GridTooLarge.
+    every shot.  A box of more than CELL_BUDGET cells, or one too wide to
+    count in float64, raises GridTooLarge.
     The window and flat indices are formed block by block on every
     available CPU, in two arrays allocated here: n float64 A indices and n
     int64 flat indices, whose buffer holds the B indices until each flat
@@ -148,13 +149,19 @@ def bin_counts(batch: ShotBatch, delta_bin: float) -> np.ndarray:
         spans = []
         for col, whole in zip(batch.pairs[start:stop].T, index):
             z = whole[start:stop]
-            np.divide(col, delta_bin, out=z)
+            with np.errstate(over="ignore"):  # an infinite index is refused below
+                np.divide(col, delta_bin, out=z)
             np.rint(z, out=z)
             spans.append((z.min(), z.max()))
         return spans
 
     spans = np.array(_map_blocks(window, batch.n))  # block, column, (min, max)
-    (a_lo, b_lo), (a_hi, b_hi) = spans[..., 0].min(axis=0), spans[..., 1].max(axis=0)
+    # Python floats: a span past the float64 range is inf or NaN, with no warning
+    a_lo, b_lo = spans[..., 0].min(axis=0).tolist()
+    a_hi, b_hi = spans[..., 1].max(axis=0).tolist()
+    if not (math.isfinite(a_hi - a_lo) and math.isfinite(b_hi - b_lo)):
+        raise GridTooLarge(f"shots span too many windows to count (delta_bin={delta_bin}, "
+                           f"r={batch.r})")
     rows, cols = int(a_hi - a_lo) + 1, int(b_hi - b_lo) + 1
     if rows * cols > CELL_BUDGET:
         raise GridTooLarge(f"shots span {rows}x{cols} = {rows * cols} windows, budget is "

@@ -39,14 +39,8 @@ class CheckResult:
     seconds: float
 
 
-def _finish(name: str, t0: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       seconds=time.perf_counter() - t0)
-
-
-def check_normalization(quick: bool = False) -> CheckResult:
+def check_normalization(quick: bool = False) -> tuple[bool, str]:
     """Coefficient identity pi/sqrt(v^2-w^2) = norm_z and captured mass near 1."""
-    t0 = time.perf_counter()
     worst_id = 0.0
     for r in np.linspace(0.0, 4.0, 9 if quick else 41):
         for ph in np.linspace(0.0, 2.0 * np.pi, 9 if quick else 25):
@@ -61,20 +55,18 @@ def check_normalization(quick: bool = False) -> CheckResult:
     for r, ph, db in cases:
         dist = binned_joint(TmsvParams(r), ph, db)
         worst_mass = max(worst_mass, abs(dist.captured_mass - 1.0))
-    ok = worst_id <= 1e-12 and worst_mass <= 2e-11
-    return _finish("normalization", t0, ok,
-                   f"coefficient identity off by {worst_id:.2e}, "
-                   f"captured mass off by {worst_mass:.2e}")
+    return (worst_id <= 1e-12 and worst_mass <= 2e-11,
+            f"coefficient identity off by {worst_id:.2e}, "
+            f"captured mass off by {worst_mass:.2e}")
 
 
-def check_fock_oracle(quick: bool = False) -> CheckResult:
+def check_fock_oracle(quick: bool = False) -> tuple[bool, str]:
     """Number-basis summation against the closed-form Gaussian density.
 
     Where the density falls below 1e-18 the summation sits at its float64
     roundoff floor (the partial sums telescope), so only absolute agreement
     is meaningful there; above it the comparison is relative.
     """
-    t0 = time.perf_counter()
     xs = np.linspace(-3.0, 3.0, 5 if quick else 9)
     aa, bb = np.meshgrid(xs, xs)
     worst_rel = 0.0
@@ -93,14 +85,13 @@ def check_fock_oracle(quick: bool = False) -> CheckResult:
             if np.any(deep):
                 worst_abs = max(worst_abs, float(np.max(diff[deep])))
             worst_amp = max(worst_amp, float(np.max(np.abs(amp - closed))))
-    ok = worst_rel <= 1e-8 and worst_abs <= 1e-18 and worst_amp <= 1e-8
-    return _finish("fock-oracle", t0, ok,
-                   f"|amp|^2 vs pdf relative {worst_rel:.2e} "
-                   f"(absolute {worst_abs:.2e} below the floor), "
-                   f"amp vs closed form {worst_amp:.2e}")
+    return (worst_rel <= 1e-8 and worst_abs <= 1e-18 and worst_amp <= 1e-8,
+            f"|amp|^2 vs pdf relative {worst_rel:.2e} "
+            f"(absolute {worst_abs:.2e} below the floor), "
+            f"amp vs closed form {worst_amp:.2e}")
 
 
-def check_method_agreement(quick: bool = False) -> CheckResult:
+def check_method_agreement(quick: bool = False) -> tuple[bool, str]:
     """Panel quadrature against the rectangle-CDF route, matrix against matrix.
 
     The full suite adds three points on the ridge phi_sum = 0, at r = 6, 8
@@ -108,7 +99,6 @@ def check_method_agreement(quick: bool = False) -> CheckResult:
     sigma_a.  At (10, 0, 100) the uniform panels, over a million per window,
     would pass the panel cap; the edge-adapted ones the kernel takes do not.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260817)
     n_sets = 6 if quick else 20
     draws = [(float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi)),
@@ -121,16 +111,13 @@ def check_method_agreement(quick: bool = False) -> CheckResult:
         p1 = binned_joint(state, ph, db, method=PANEL_QUADRATURE).probs
         p2 = binned_joint(state, ph, db, method=RECTANGLE_CDF).probs
         worst = max(worst, float(np.max(np.abs(p1 - p2))))
-    ok = worst <= 1e-10
-    return _finish("method-cross-validation", t0, ok,
-                   f"worst |panel - rectangle| = {worst:.2e} "
-                   f"over {n_sets} parameter draws"
-                   + ("" if quick else " and 3 ridge points"))
+    return worst <= 1e-10, (f"worst |panel - rectangle| = {worst:.2e} "
+                            f"over {n_sets} parameter draws"
+                            + ("" if quick else " and 3 ridge points"))
 
 
-def check_entropy_bounds(quick: bool = False) -> CheckResult:
+def check_entropy_bounds(quick: bool = False) -> tuple[bool, str]:
     """S(A,B) >= S(A) >= S(A|B) >= 0 plus subadditivity on sampled joints."""
-    t0 = time.perf_counter()
     cases = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (1.817, 0.669, 6.0)]
     if not quick:
         cases += [(2.0, 1.2, 3.0), (0.5, 2.8, 0.7), (3.0, 0.4, 12.0)]
@@ -145,14 +132,11 @@ def check_entropy_bounds(quick: bool = False) -> CheckResult:
             terms.s_marginal_a + terms.s_marginal_b - terms.s_joint,
         ]
         margin = min(margin, min(checks))
-    ok = margin >= -1e-10
-    return _finish("entropy-bounds", t0, ok,
-                   f"worst inequality margin {margin:.2e} (>= -1e-10 required)")
+    return margin >= -1e-10, f"worst inequality margin {margin:.2e} (>= -1e-10 required)"
 
 
-def check_symmetries(quick: bool = False) -> CheckResult:
+def check_symmetries(quick: bool = False) -> tuple[bool, str]:
     """Phase-sum evenness and periodicity of the conditional entropy."""
-    t0 = time.perf_counter()
     worst = 0.0
     phases = (0.5,) if quick else (0.1, 0.5, 2.0)
     for ph in phases:
@@ -160,14 +144,11 @@ def check_symmetries(quick: bool = False) -> CheckResult:
         base = s_qm(state, ph, 6.0)
         worst = max(worst, abs(base - s_qm(state, -ph, 6.0)))
         worst = max(worst, abs(base - s_qm(state, 2.0 * np.pi - ph, 6.0)))
-    ok = worst <= 1e-10
-    return _finish("phase-symmetry", t0, ok,
-                   f"worst S(phi) asymmetry {worst:.2e}")
+    return worst <= 1e-10, f"worst S(phi) asymmetry {worst:.2e}"
 
 
-def check_base_angle_invariance(quick: bool = False) -> CheckResult:
+def check_base_angle_invariance(quick: bool = False) -> tuple[bool, str]:
     """d_qm depends on the angles only through their pairwise sums."""
-    t0 = time.perf_counter()
     delta = 0.6
     db = 2.0 if quick else 4.0
     state = TmsvParams(1.5)
@@ -176,25 +157,19 @@ def check_base_angle_invariance(quick: bool = False) -> CheckResult:
     g = AngleGeometry(delta=delta, theta=0.3)
     gen = evaluate_general(state, g.theta, g.theta_prime, g.phi, g.phi_prime, db).d_qm
     worst = max(abs(ref - alt), abs(ref - gen))
-    ok = worst <= 1e-10
-    return _finish("base-angle-invariance", t0, ok,
-                   f"worst base-angle dependence {worst:.2e}")
+    return worst <= 1e-10, f"worst base-angle dependence {worst:.2e}"
 
 
-def check_boundary_nonnegativity(quick: bool = False) -> CheckResult:
+def check_boundary_nonnegativity(quick: bool = False) -> tuple[bool, str]:
     """Zero-offset value 2 S_qm(0) is never negative."""
-    t0 = time.perf_counter()
     n = 3 if quick else 5
     res = scan_zero_delta(np.linspace(0.0, 2.5, n), np.linspace(0.8, 8.0, n))
     low = float(res.d_qm.min())
-    ok = low >= 0.0
-    return _finish("boundary-nonnegativity", t0, ok,
-                   f"minimum zero-offset value {low:.3e}")
+    return low >= 0.0, f"minimum zero-offset value {low:.3e}"
 
 
-def check_marginal_consistency(quick: bool = False) -> CheckResult:
+def check_marginal_consistency(quick: bool = False) -> tuple[bool, str]:
     """Rows of the binned joint sum to the directly binned marginal."""
-    t0 = time.perf_counter()
     cases = [(1.0, 0.0, 1.0)] if quick else [(1.0, 0.0, 1.0), (2.0, 0.9, 3.0),
                                              (0.3, 2.2, 0.6)]
     worst = 0.0
@@ -204,20 +179,34 @@ def check_marginal_consistency(quick: bool = False) -> CheckResult:
         direct = binned_marginal(state, dist.grid)
         worst = max(worst, float(np.max(np.abs(dist.marginal_b() - direct.probs))))
         worst = max(worst, float(np.max(np.abs(dist.marginal_a() - direct.probs))))
-    ok = worst <= 1e-9
-    return _finish("marginal-consistency", t0, ok,
-                   f"worst row-sum vs direct-bin gap {worst:.2e}")
+    return worst <= 1e-9, f"worst row-sum vs direct-bin gap {worst:.2e}"
+
+
+# The suite, in report order: each check takes `quick` and returns (passed, detail).
+_CHECKS = (
+    ("normalization", check_normalization),
+    ("fock-oracle", check_fock_oracle),
+    ("method-cross-validation", check_method_agreement),
+    ("entropy-bounds", check_entropy_bounds),
+    ("phase-symmetry", check_symmetries),
+    ("base-angle-invariance", check_base_angle_invariance),
+    ("boundary-nonnegativity", check_boundary_nonnegativity),
+    ("marginal-consistency", check_marginal_consistency),
+)
 
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
-    """Run the suite; quick mode trims sample counts to finish in seconds."""
-    return [
-        check_normalization(quick),
-        check_fock_oracle(quick),
-        check_method_agreement(quick),
-        check_entropy_bounds(quick),
-        check_symmetries(quick),
-        check_base_angle_invariance(quick),
-        check_boundary_nonnegativity(quick),
-        check_marginal_consistency(quick),
-    ]
+    """Run the suite, timing each check; quick mode trims sample counts to finish in seconds.
+
+    A check that raises is recorded as failed, with the exception as its
+    detail, and the rest still run.
+    """
+    results = []
+    for name, check in _CHECKS:
+        t0 = time.perf_counter()
+        try:
+            passed, detail = check(quick)
+        except Exception as exc:  # a check that cannot finish has failed
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, bool(passed), detail, time.perf_counter() - t0))
+    return results

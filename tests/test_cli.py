@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import entrobell
-from entrobell import entropy
+from entrobell import entropy, validation
 from entrobell.cli import _apply_config, _build_parser, main
-from entrobell.coarse_grain import BinnedDistribution2D, binned_joint
+from entrobell.coarse_grain import BinnedDistribution2D, QuadratureBudgetExceeded, binned_joint
 from entrobell.experiment_sim import sample_pairs
 from entrobell.gaussian_core import TmsvParams
+from entrobell.validation import run_checks
 from entrobell.bell import (
     SCAN_CSV_HEADER, AngleGeometry, d_qm_value, evaluate, scan, scan_zero_delta,
 )
@@ -261,6 +262,33 @@ def test_validate_perturbed_norm_fails(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "failed checks: normalization\n"
 
 
+def test_a_check_that_raises_is_a_named_failure(tmp_path, capsys, monkeypatch):
+    # the phase-symmetry check cannot finish; it fails by name, and the other
+    # seven still run and pass
+    def refuse(*args, **kwargs):
+        raise QuadratureBudgetExceeded("window needs too many panels")
+
+    monkeypatch.setattr(validation, "s_qm", refuse)
+    out = tmp_path / "val.json"
+    assert main(["validate", "--quick", "--format", "json", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "failed checks: phase-symmetry\n"
+    payload = json.loads(out.read_text())
+    assert len(payload["checks"]) == 8
+    assert payload["failed"] == ["phase-symmetry"]
+    (check,) = [c for c in payload["checks"] if not c["passed"]]
+    assert check["detail"] == "QuadratureBudgetExceeded: window needs too many panels"
+
+
+def test_run_checks_names_the_suite_in_order():
+    results = run_checks(quick=True)
+    assert [c.name for c in results] == [
+        "normalization", "fock-oracle", "method-cross-validation", "entropy-bounds",
+        "phase-symmetry", "base-angle-invariance", "boundary-nonnegativity",
+        "marginal-consistency",
+    ]
+    assert all(type(c.passed) is bool and c.seconds >= 0.0 for c in results)
+
+
 def test_sample_shot_dump(tmp_path):
     out = tmp_path / "shots.csv"
     code = main(["shots", "--r", "0.5", "--n", "1500", "--phi-sum", "0.3",
@@ -315,6 +343,19 @@ def test_tiny_bin_width_exit_3(capsys):
     code = main(["eval", "--r", "4", "--delta", "0.6", "--Delta", "1e-5"])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--r", "1", "--delta", "0.5", "--Delta", "1e-310"],
+    ["sample", "--r", "1", "--delta", "0.5", "--Delta", "1e-310", "--n", "2000",
+     "--bootstrap", "2"],
+], ids=["eval", "sample"])
+def test_bin_width_without_a_finite_grid_exits_3(argv, capsys):
+    # the grid's or the shots' window count overflows float64: one typed
+    # error, no warning
+    assert exit_code(argv) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("entrobell: numeric failure:")
 
 
 def test_figure_fig1_csv(tmp_path):

@@ -70,6 +70,13 @@ def test_make_grid_rejects_a_tail_epsilon_without_a_finite_coverage(tail_epsilon
     assert make_grid(TmsvParams(1.0), 1.0, tail_epsilon=1e-320).l_max == 53
 
 
+@pytest.mark.parametrize("delta", [1e-310, 5e-324])
+def test_make_grid_refuses_a_bin_width_without_a_finite_grid(delta):
+    # k sigma / delta overflows: a typed error, not an OverflowError from int()
+    with pytest.raises(GridTooLarge, match="no finite grid"):
+        make_grid(TmsvParams(1.0), delta)
+
+
 def test_make_grid_budget(monkeypatch):
     with pytest.raises(GridTooLarge):
         make_grid(TmsvParams(2.0), 5e-4)
@@ -589,8 +596,7 @@ def _own_band_edges(c, grid, l):
     lo = max((l - 0.5) * delta, -cut * sa)
     width = max(min((l + 0.5) * delta, cut * sa) - lo, 0.0)
     slab = 8.0 * sc / abs(rho) if rho else math.inf
-    n_panels = math.ceil(4.0 * delta / min(math.sqrt(0.5 / (c.v_minus_w * c.v_plus_w / c.v)),
-                                           slab))
+    n_panels = math.ceil(4.0 * delta / min(sa, slab))
     count = max(min(n_panels, math.ceil(width * n_panels / delta)), 1)
     x = np.polynomial.legendre.leggauss(16)[0]
     ends = rho * (lo + width / count * np.array([0.5 * (x[0] + 1.0), count - 0.5 * (1.0 - x[-1])]))

@@ -346,6 +346,15 @@ def test_bin_counts_box_over_the_cell_budget_raises(r):
         bin_counts(batch, 1.0)
 
 
+@pytest.mark.parametrize("delta_bin", [1e-310, 5e-324, 3e-308])
+def test_bin_counts_box_too_wide_to_count_raises(delta_bin):
+    # the window indices, or at 3e-308 their span, pass the float64 range;
+    # the suite turns warnings into errors, so none may be raised on the way
+    batch = sample_pairs(TmsvParams(1.0), 0.3, 2000, seed=1)
+    with pytest.raises(GridTooLarge, match="too many windows to count"):
+        bin_counts(batch, delta_bin)
+
+
 def test_estimator_consistency():
     # estimate error shrinks when shots grow 100x
     state = TmsvParams(1.0)
